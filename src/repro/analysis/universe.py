@@ -27,6 +27,9 @@ class ExprUniverse:
     def __init__(self, exprs: Iterable[Expr] = ()) -> None:
         self._index: Dict[Expr, int] = {}
         self._exprs: List[Expr] = []
+        # name -> bit mask of the expressions reading it; built on first
+        # use by invalidated_by, dropped whenever the universe grows.
+        self._kill_masks: Optional[Dict[str, int]] = None
         for expr in exprs:
             self.add(expr)
 
@@ -46,6 +49,7 @@ class ExprUniverse:
         if expr not in self._index:
             self._index[expr] = len(self._exprs)
             self._exprs.append(expr)
+            self._kill_masks = None
         return self._index[expr]
 
     # ------------------------------------------------------------------
@@ -95,14 +99,14 @@ class ExprUniverse:
 
     def invalidated_by(self, var: str) -> BitVector:
         """Expressions whose value may change when *var* is assigned."""
-        return BitVector.of(
-            self.width,
-            (
-                i
-                for i, expr in enumerate(self._exprs)
-                if var in expr_vars(expr)
-            ),
-        )
+        masks = self._kill_masks
+        if masks is None:
+            masks = {}
+            for i, expr in enumerate(self._exprs):
+                for name in expr_vars(expr):
+                    masks[name] = masks.get(name, 0) | (1 << i)
+            self._kill_masks = masks
+        return BitVector(self.width, masks.get(var, 0))
 
     # ------------------------------------------------------------------
 

@@ -305,16 +305,30 @@ def _placements_from(
     insert: Dict[Edge, BitVector],
     delete: Dict[str, BitVector],
 ) -> List[Placement]:
-    """Turn per-edge/per-block vectors into one Placement per expression."""
+    """Turn per-edge/per-block vectors into one Placement per expression.
+
+    Transposed: each vector's set bits are walked once, appending its
+    edge or block to that expression's list (in the vectors' order).
+    """
     universe = analysis.universe
-    placements: List[Placement] = []
-    for idx, expr in universe.enumerate():
-        edges = frozenset(e for e, vec in insert.items() if idx in vec)
-        blocks = frozenset(b for b, vec in delete.items() if idx in vec)
-        placements.append(
-            Placement(expr, universe.temp_name(expr), edges, frozenset(), blocks)
+    edges: List[List[Edge]] = [[] for _ in range(universe.width)]
+    blocks: List[List[str]] = [[] for _ in range(universe.width)]
+    for edge, vec in insert.items():
+        for idx in vec.indices():
+            edges[idx].append(edge)
+    for label, vec in delete.items():
+        for idx in vec.indices():
+            blocks[idx].append(label)
+    return [
+        Placement(
+            expr,
+            universe.temp_name(expr),
+            frozenset(edges[idx]),
+            frozenset(),
+            frozenset(blocks[idx]),
         )
-    return placements
+        for idx, expr in universe.enumerate()
+    ]
 
 
 def lcm_placements(analysis: LCMAnalysis) -> List[Placement]:

@@ -149,7 +149,7 @@ def _edge_based(cfg: CFG, variant: str, ctx: OptimizeContext) -> TransformResult
         placements = bcm_placements(analysis)
     else:
         raise ValueError(f"unknown edge-based variant {variant!r}")
-    result = apply_placements(cfg, placements, manager=ctx.manager)
+    result = apply_placements(cfg, placements)
     return result
 
 
@@ -169,7 +169,7 @@ def _node_based(cfg: CFG, variant: str, ctx: OptimizeContext) -> TransformResult
     # that the two mechanisms can be compared, but for BCM/ALCM the
     # "replace everything" plans need the tentative copies collapsed
     # only when truly dead, which is the default behaviour.
-    result = apply_placements(expanded, placements, manager=ctx.manager)
+    result = apply_placements(expanded, placements)
     return TransformResult(
         original=cfg,
         cfg=result.cfg,

@@ -16,7 +16,8 @@ expression, :func:`apply_placements` produces the transformed program:
    dead after the pair is collapsed back to the original ``x = e``.
    This reproduces the paper's isolation treatment *semantically*; the
    analyses' own isolation handling is cross-checked against it in the
-   tests.
+   tests.  The temps' liveness comes from :class:`TempLiveness`, which
+   solves one temp at a time, on demand.
 
 The result is always semantically equivalent to the input for *any*
 placement that is value-correct; the interpreter-based checkers in
@@ -27,7 +28,16 @@ the library.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.liveness import LivenessResult
 from repro.core.placement import Placement, PlacementError, upward_exposed_index
@@ -35,6 +45,7 @@ from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFG, Edge
 from repro.ir.expr import Expr, Var
 from repro.ir.instr import Assign
+from repro.obs import trace
 from repro.obs.manager import (
     AnalysisManager,
     notify_cfg_derived,
@@ -42,39 +53,123 @@ from repro.obs.manager import (
 )
 
 
-def _liveness_engine(
-    cfg: CFG, manager: Optional[AnalysisManager], live_at_exit=()
-) -> IncrementalLiveness:
-    """The incremental liveness engine for *cfg*.
+class TempLiveness:
+    """Liveness of the placement temporaries only, solved per temp on demand.
 
-    With a manager, the engine is the manager-held one — its global
-    solve is memoized by content fingerprint (a second transformation
-    run producing the same intermediate programs hits the cache) and it
-    is kept current through the notification hooks.  Without one, a
-    private engine is returned; callers must pair every mutation with
-    :func:`_mark_edited` / :func:`_mark_mutated` so both kinds stay in
-    sync.
+    Step 4 only ever asks whether a *temp* is live, and liveness is
+    computed separately for each variable: a temp's facts depend only on
+    that temp's occurrences.  So instead of a whole-program fixpoint
+    over every variable, this answers for the queried names alone (the
+    demand-driven formulation of "Lazy Pointer Analysis",
+    Khedker/Mycroft/Rawat):
+
+    * **Build.** One scan of *labels* records, per temp, the blocks with
+      an upward-exposed use and the blocks defining it.  Temps are fresh
+      names, so only the blocks steps 1-3 edited can mention one.
+    * **Solve.** The first query about a temp computes its live-out set
+      by backward reachability from its use blocks, passing only through
+      blocks that do not define it.  Live-out of the exit is ∅.  The
+      reference solver iterates every block (``backward_order`` appends
+      those that cannot reach the exit), so walking all predecessors
+      answers unreachable code exactly as a full solve does.
+    * **Update.** :meth:`edited` rescans just the edited blocks and drops
+      the solved sets of the temps they mention (before or after the
+      edit); the next query re-solves those temps.  Between updates the
+      answers stay frozen, exactly like a fixpoint patched at the same
+      points.
+
+    Only instruction-level edits are supported: the predecessor map is
+    read once, on the first solve.
     """
-    if manager is None:
-        return IncrementalLiveness(cfg, live_at_exit=live_at_exit)
-    return manager.liveness(cfg, live_at_exit=live_at_exit)
+
+    def __init__(
+        self, cfg: CFG, temps: Set[str], labels: Iterable[str]
+    ) -> None:
+        self.cfg = cfg
+        self.temps = temps
+        self.solves = 0
+        self._uses: Dict[str, Set[str]] = {t: set() for t in temps}
+        self._defs: Dict[str, Set[str]] = {t: set() for t in temps}
+        self._mentions: Dict[str, Set[str]] = {}  # label -> temps it mentions
+        self._live_out: Dict[str, Set[str]] = {}  # temp -> live-out labels
+        self._preds: Optional[Dict[str, List[str]]] = None
+        for label in labels:
+            self._scan(label)
+
+    def _scan(self, label: str) -> None:
+        temps = self.temps
+        block = self.cfg.block(label)
+        upward: Set[str] = set()
+        defined: Set[str] = set()
+        for instr in block.instrs:
+            for v in instr.uses():
+                if v in temps and v not in defined:
+                    upward.add(v)
+            if instr.target in temps:
+                defined.add(instr.target)
+        if block.terminator is not None:
+            for v in block.terminator.uses():
+                if v in temps and v not in defined:
+                    upward.add(v)
+        for temp in upward:
+            self._uses[temp].add(label)
+        for temp in defined:
+            self._defs[temp].add(label)
+        self._mentions[label] = upward | defined
+
+    def edited(self, labels: Iterable[str]) -> None:
+        """Rescan *labels* after an edit; their temps re-solve on demand."""
+        for label in labels:
+            old = self._mentions.get(label, set())
+            for temp in old:
+                self._uses[temp].discard(label)
+                self._defs[temp].discard(label)
+            self._scan(label)
+            for temp in old | self._mentions[label]:
+                self._live_out.pop(temp, None)
+
+    def live_out_blocks(self, temp: str) -> Set[str]:
+        """The labels *temp* is live on exit from."""
+        live_out = self._live_out.get(temp)
+        if live_out is not None:
+            return live_out
+        preds = self._preds
+        if preds is None:
+            preds = self._preds = {label: [] for label in self.cfg.labels}
+            for block in self.cfg:
+                for succ in block.successors():
+                    preds[succ].append(block.label)
+        live_out = set()
+        defs = self._defs[temp]
+        live_in = set(self._uses[temp])
+        stack = list(live_in)
+        exit_label = self.cfg.exit
+        while stack:
+            for pred in preds[stack.pop()]:
+                if pred == exit_label or pred in live_out:
+                    continue
+                live_out.add(pred)
+                if pred not in defs and pred not in live_in:
+                    live_in.add(pred)
+                    stack.append(pred)
+        self._live_out[temp] = live_out
+        self.solves += 1
+        trace.count("transform.temp_solve")
+        return live_out
+
+    def is_live_out(self, label: str, temp: str) -> bool:
+        """Is *temp* live on exit from *label*?"""
+        return label in self.live_out_blocks(temp)
 
 
-def _mark_edited(
-    cfg: CFG,
-    engine: IncrementalLiveness,
-    labels,
-    manager: Optional[AnalysisManager],
-) -> None:
+def _mark_edited(cfg: CFG, liveness: TempLiveness, labels) -> None:
     """Signal instruction-level edits to *labels* after mutating *cfg*.
 
-    The module hook reaches every live manager (including the one
-    holding *engine*, when there is one); a private engine gets the
-    marks directly.
+    The module hook keeps every live manager's fingerprint state
+    current; *liveness* rescans the blocks itself.
     """
     notify_cfg_edited(cfg, labels)
-    if manager is None:
-        engine.blocks_edited(labels)
+    liveness.edited(labels)
 
 
 @dataclass
@@ -103,9 +198,17 @@ class TransformResult:
 
 
 def _is_live_after(
-    cfg: CFG, liveness: LivenessResult, label: str, index: int, var: str
+    cfg: CFG,
+    liveness: Union[LivenessResult, TempLiveness],
+    label: str,
+    index: int,
+    var: str,
 ) -> bool:
-    """Is *var* live immediately after instruction *index* of *label*?"""
+    """Is *var* live immediately after instruction *index* of *label*?
+
+    The block tail is scanned locally; only an answer resting on the
+    block-exit fact consults *liveness*.
+    """
     block = cfg.block(label)
     for instr in block.instrs[index + 1 :]:
         if var in instr.uses():
@@ -123,7 +226,6 @@ def apply_placements(
     add_copies: bool = True,
     collapse_isolated_copies: bool = True,
     drop_dead_insertions: bool = True,
-    manager: Optional[AnalysisManager] = None,
 ) -> TransformResult:
     """Apply *placements* to a copy of *cfg* and return the result.
 
@@ -140,8 +242,10 @@ def apply_placements(
         drop_dead_insertions: remove inserted ``t = e`` whose temp is
             dead — a defensive cleanup for baselines that may insert
             uselessly; LCM/BCM never trigger it.
-        manager: optional :class:`repro.obs.manager.AnalysisManager`
-            memoizing the liveness solves of the cleanup steps.
+
+    Both cleanups query only the temps, through one
+    :class:`TempLiveness` over the work graph; no whole-program
+    liveness is solved.
     """
     temps = [p.temp for p in placements]
     if len(set(temps)) != len(temps):
@@ -259,37 +363,41 @@ def apply_placements(
     # of the result is an incremental patch, not a whole-CFG hash.
     notify_cfg_derived(work, cfg, sorted(step_edits))
 
-    # Step 4: collapse isolated copies and drop dead insertions.  One
-    # incremental engine serves both cleanups: a single full liveness
-    # solve up front, then O(affected-region) patches after each edit
-    # instead of the global re-solves this loop used to do.  Temps are
-    # only ever defined at copy sites and insertion sites, so both
-    # sweeps visit just those blocks.
+    # Step 4: collapse isolated copies and drop dead insertions.  Both
+    # sweeps ask only about temps, so one temp-scoped liveness serves
+    # them, updated at each sweep's update points.  Temps are only ever
+    # defined at copy sites and insertion sites, so both sweeps visit
+    # just those blocks.
     if (collapse_isolated_copies and result.copies_added) or drop_dead_insertions:
-        engine = _liveness_engine(work, manager)
-        if collapse_isolated_copies and result.copies_added:
-            _collapse_dead_copies(work, result, engine, manager)
-        if drop_dead_insertions:
-            def_sites = split_labels | {
-                label for label, _ in result.copies_added
-            }
-            for placement in placements:
-                def_sites |= placement.insert_entries
-                def_sites |= placement.insert_exits
-            _drop_dead_insertions(work, result, engine, manager, def_sites)
+        with trace.span(
+            "transform.cleanup", temps=len(result.temps)
+        ) as cleanup:
+            liveness = TempLiveness(work, result.temps, sorted(step_edits))
+            if collapse_isolated_copies and result.copies_added:
+                _collapse_dead_copies(work, result, liveness)
+            if drop_dead_insertions:
+                def_sites = split_labels | {
+                    label for label, _ in result.copies_added
+                }
+                for placement in placements:
+                    def_sites |= placement.insert_entries
+                    def_sites |= placement.insert_exits
+                _drop_dead_insertions(work, result, liveness, def_sites)
+            cleanup.set(
+                collapsed=len(result.copies_collapsed),
+                dropped=len(result.insertions_dropped),
+                temp_solves=liveness.solves,
+            )
 
     return result
 
 
 def _collapse_dead_copies(
-    cfg: CFG,
-    result: TransformResult,
-    engine: IncrementalLiveness,
-    manager: Optional[AnalysisManager] = None,
+    cfg: CFG, result: TransformResult, liveness: TempLiveness
 ) -> None:
     """Rewrite ``t = e; x = t`` back to ``x = e`` where *t* dies at once."""
-    engine.solve()
-    copy_sites = {label for label, _ in result.copies_added}
+    copies = set(result.copies_added)
+    copy_sites = {label for label, _ in copies}
     for block in cfg:
         if block.label not in copy_sites:
             continue
@@ -301,8 +409,10 @@ def _collapse_dead_copies(
                 first.target in result.temps
                 and second.expr == Var(first.target)
                 and second.target != first.target
-                and (block.label, first.target) in result.copies_added
-                and not engine.is_live_after(block.label, i + 1, first.target)
+                and (block.label, first.target) in copies
+                and not _is_live_after(
+                    cfg, liveness, block.label, i + 1, first.target
+                )
             ):
                 block.instrs[i : i + 2] = [Assign(second.target, first.expr)]
                 result.copies_collapsed.append((block.label, first.target))
@@ -311,19 +421,18 @@ def _collapse_dead_copies(
                 # it, so continuing with this block's stale exit fact is
                 # sound: it may miss a newly dead copy in *earlier* blocks,
                 # which the fixpoint loop in the caller would catch; in
-                # practice the pairs are independent.  Patch the facts at
-                # the block boundary to stay exact.
+                # practice the pairs are independent.  Update the facts
+                # at the block boundary to stay exact.
             else:
                 i += 1
         if changed:
-            _mark_edited(cfg, engine, [block.label], manager)
+            _mark_edited(cfg, liveness, [block.label])
 
 
 def _drop_dead_insertions(
     cfg: CFG,
     result: TransformResult,
-    engine: IncrementalLiveness,
-    manager: Optional[AnalysisManager] = None,
+    liveness: TempLiveness,
     candidates: Optional[Set[str]] = None,
 ) -> None:
     """Remove inserted/copy definitions of temps that are never used.
@@ -333,7 +442,6 @@ def _drop_dead_insertions(
     blocks define no temps and are skipped.  Removals never create temp
     definitions elsewhere, so the set stays valid across rounds.
     """
-    engine.solve()
     changed = True
     while changed:
         changed = False
@@ -343,8 +451,8 @@ def _drop_dead_insertions(
                 continue
             keep: List[Assign] = []
             for i, instr in enumerate(block.instrs):
-                if instr.target in result.temps and not engine.is_live_after(
-                    block.label, i, instr.target
+                if instr.target in result.temps and not _is_live_after(
+                    cfg, liveness, block.label, i, instr.target
                 ):
                     result.insertions_dropped.append((block.label, instr.target))
                     changed = True
@@ -356,8 +464,8 @@ def _drop_dead_insertions(
         if edited:
             # Facts stay frozen within the round (every block decides
             # against the same fixpoint — the old re-solve-per-round
-            # semantics); the patch lands at the round boundary.
-            _mark_edited(cfg, engine, edited, manager)
+            # semantics); the update lands at the round boundary.
+            _mark_edited(cfg, liveness, edited)
 
 
 def eliminate_dead_code(
@@ -374,7 +482,10 @@ def eliminate_dead_code(
     the fixpoint incrementally between rounds.
     """
     candidate_set = set(candidates)
-    engine = _liveness_engine(cfg, manager)
+    if manager is None:
+        engine = IncrementalLiveness(cfg)
+    else:
+        engine = manager.liveness(cfg)
     engine.solve()
     removed = 0
     changed = True
@@ -395,5 +506,9 @@ def eliminate_dead_code(
                 block.instrs[:] = keep
                 edited.append(block.label)
         if edited:
-            _mark_edited(cfg, engine, edited, manager)
+            # The hook reaches a manager-held engine; a private one
+            # gets the marks directly.
+            notify_cfg_edited(cfg, edited)
+            if manager is None:
+                engine.blocks_edited(edited)
     return removed

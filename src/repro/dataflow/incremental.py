@@ -1,13 +1,16 @@
 """Incremental + demand-driven liveness: cost scales with the edit.
 
-Every transformation loop in this library (LCM's copy cleanup, DCE,
-assignment sinking) edits a handful of instructions and then asks the
-same liveness question again.  Re-running the global fixpoint after
-each edit makes the *analysis* cost proportional to the program, even
-though the *edit* touched two instructions — ``BENCH_BATCH.json``
-showed 826 full liveness solves for a 60-item corpus, dominating the
-optimize wall time.  This module is the fix, and the first engine in
-the repository whose cost scales with the edit, not the program:
+The dead-code loops of this library (DCE, ``eliminate_dead_code``,
+assignment sinking) edit a handful of instructions and then ask the
+same liveness question again.  (The LCM transform's cleanup asks only
+about its own temps and uses the cheaper per-temp
+:class:`repro.core.transform.TempLiveness` instead.)  Re-running the
+global fixpoint after each edit makes the *analysis* cost proportional
+to the program, even though the *edit* touched two instructions —
+``BENCH_BATCH.json`` showed 826 full liveness solves for a 60-item
+corpus, dominating the optimize wall time.  This module is the fix, and
+the first engine in the repository whose cost scales with the edit,
+not the program:
 
 * :class:`IncrementalLiveness` solves a CFG's liveness **once** (through
   the dense backend, memoized by the

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
+from repro.ir.expr import is_computation
 from repro.ir.instr import Assign, CondBranch, Jump, Terminator
 
 #: A control flow edge, as a (source label, target label) pair.
@@ -274,7 +275,12 @@ class CFG:
 
     def static_computation_count(self) -> int:
         """Number of operator-expression occurrences in the whole graph."""
-        return sum(1 for _, _, instr in self.instructions() if instr.is_computation)
+        return sum(
+            1
+            for block in self._blocks.values()
+            for instr in block.instrs
+            if is_computation(instr.expr)
+        )
 
     def copy(self) -> "CFG":
         """Deep-copy the graph (instructions are immutable and shared)."""

@@ -165,15 +165,15 @@ class TestSerial:
         items = items_from_dir(str(CORPUS_DIR))[:4]
         report = run_batch(items, BatchConfig(jobs=1))
         merged = report.merged_summary()
-        solve_keys = [k for k in merged if k.startswith("dataflow.solve")]
-        assert solve_keys, merged.keys()
+        fused_keys = [k for k in merged if k.startswith("lcm.fused")]
+        assert fused_keys, merged.keys()
         per_item = sum(
             entry["count"]
             for item in report.items
             for key, entry in item.summary.items()
-            if key.startswith("dataflow.solve")
+            if key.startswith("lcm.fused")
         )
-        assert sum(merged[k]["count"] for k in solve_keys) == per_item
+        assert sum(merged[k]["count"] for k in fused_keys) == per_item
 
 
 # -- the process pool -------------------------------------------------------
