@@ -41,9 +41,9 @@ from repro.obs.fingerprint import cfg_fingerprint
 def _fingerprint(cfg: CFG, manager=None) -> str:
     """Content fingerprint of *cfg*, through *manager* when given.
 
-    The manager keeps per-block digest state, so fingerprinting a graph
-    it has watched evolve re-hashes only the edited blocks instead of
-    serialising the whole CFG again.
+    The manager memoizes one digest per graph state, so a graph it has
+    already hashed (and that was not edited since) is not serialised
+    again.
     """
     if manager is not None:
         return manager.fingerprint(cfg)

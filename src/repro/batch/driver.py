@@ -68,6 +68,7 @@ C-call hang; hard isolation needs ``jobs >= 2``.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 import time
@@ -93,6 +94,24 @@ from repro.obs.trace import Tracer, tracing
 
 #: File suffixes a corpus directory is scanned for.
 CORPUS_SUFFIXES = (".mini", ".json")
+
+#: The longest time budget (per-item timeout, grace, batch deadline)
+#: accepted, in seconds.  The supervisor waits on worker pipes with
+#: ``Connection.poll``, which overflows past ~24.8 days; a day is far
+#: more than any item needs.
+MAX_TIMEOUT_S = 86_400.0
+
+
+def check_seconds(name: str, value: Optional[float]) -> None:
+    """Raise ``ValueError`` unless *value* is None or a finite number of
+    seconds no larger than :data:`MAX_TIMEOUT_S`."""
+    if value is not None and not (
+        value <= MAX_TIMEOUT_S and math.isfinite(value)
+    ):
+        raise ValueError(
+            f"{name} must be a finite number of seconds no larger than "
+            f"{MAX_TIMEOUT_S:g}, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -268,6 +287,8 @@ class BatchConfig:
     diff_max_steps: int = 2_000_000
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "grace", "deadline_s"):
+            check_seconds(name, getattr(self, name))
         if self.differential and self.analyze:
             raise ValueError(
                 "differential mode compares optimized execution; it "

@@ -448,18 +448,21 @@ def cmd_serve(args, out) -> int:
     from repro.service import ReproServer, ServeConfig
     from repro.service.protocol import encode, listening_record
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        queue_limit=args.queue_limit,
-        cache_size=args.response_cache,
-        store_path=args.cache_dir,
-        cache=not args.no_cache,
-        max_tasks_per_worker=args.recycle_after,
-        allow_call=args.allow_call,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            queue_limit=args.queue_limit,
+            cache_size=args.response_cache,
+            store_path=args.cache_dir,
+            cache=not args.no_cache,
+            max_tasks_per_worker=args.recycle_after,
+            allow_call=args.allow_call,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     server = ReproServer(config)
 
     def announce(host: str, port: int) -> None:

@@ -23,7 +23,7 @@ preserving.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.expr import Expr, Var, expr_vars, is_computation
@@ -106,34 +106,22 @@ def local_cse_block(
     return result, replaced
 
 
-def local_cse(
-    cfg: CFG,
-    blocks: Optional[Iterable[str]] = None,
-    edited: Optional[List[str]] = None,
-) -> Tuple[CFG, int]:
+def local_cse(cfg: CFG) -> Tuple[CFG, int]:
     """Apply LCSE to every block of a copy of *cfg*.
 
     Returns the transformed copy and the number of occurrences
-    replaced.  The pass is purely block-local, so *blocks* (when given)
-    scopes it exactly — other blocks are copied untouched.  Labels of
-    blocks that actually changed are appended to *edited* when given,
-    so callers can seed the copy's fingerprint state from the input's
-    (:func:`repro.obs.manager.notify_cfg_derived`).
+    replaced.
     """
-    scope = None if blocks is None else set(blocks)
     work = cfg.copy()
     total = 0
     temp_start = 0
     for block in work:
-        if scope is None or block.label in scope:
-            new_instrs, replaced = local_cse_block(
-                block.instrs, temp_start=temp_start
-            )
-            if replaced:
-                block.instrs[:] = new_instrs
-                total += replaced
-                if edited is not None:
-                    edited.append(block.label)
+        new_instrs, replaced = local_cse_block(
+            block.instrs, temp_start=temp_start
+        )
+        if replaced:
+            block.instrs[:] = new_instrs
+            total += replaced
         # Advance the counter past any temps the block introduced so
         # names stay unique graph-wide.
         temp_start += sum(

@@ -45,7 +45,6 @@ from repro.core.transform import TransformResult, apply_placements
 from repro.ir.cfg import CFG
 from repro.ir.edgesplit import split_join_edges
 from repro.ir.validate import validate_cfg
-from repro.obs.manager import notify_cfg_derived
 from repro.obs.trace import span
 
 
@@ -269,11 +268,7 @@ def optimize(
         source = cfg
         if config.run_local_cse:
             with span("pass.lcse"):
-                lcse_edits: List[str] = []
-                source, _ = local_cse(cfg, edited=lcse_edits)
-            # LCSE returns a copy differing only in the edited blocks;
-            # seed its fingerprint state from the input's.
-            notify_cfg_derived(source, cfg, lcse_edits)
+                source, _ = local_cse(cfg)
         result = registered.run(source, ctx)
         opt_span.set(
             insertions=sum(p.insertion_count for p in result.placements),

@@ -46,11 +46,7 @@ from repro.ir.cfg import CFG, Edge
 from repro.ir.expr import Expr, Var
 from repro.ir.instr import Assign
 from repro.obs import trace
-from repro.obs.manager import (
-    AnalysisManager,
-    notify_cfg_derived,
-    notify_cfg_edited,
-)
+from repro.obs.manager import AnalysisManager, notify_cfg_edited
 
 
 class TempLiveness:
@@ -160,16 +156,6 @@ class TempLiveness:
     def is_live_out(self, label: str, temp: str) -> bool:
         """Is *temp* live on exit from *label*?"""
         return label in self.live_out_blocks(temp)
-
-
-def _mark_edited(cfg: CFG, liveness: TempLiveness, labels) -> None:
-    """Signal instruction-level edits to *labels* after mutating *cfg*.
-
-    The module hook keeps every live manager's fingerprint state
-    current; *liveness* rescans the blocks itself.
-    """
-    notify_cfg_edited(cfg, labels)
-    liveness.edited(labels)
 
 
 @dataclass
@@ -283,8 +269,7 @@ def apply_placements(
         temps={p.temp for p in placements},
     )
 
-    # Labels whose content steps 1-3 change, relative to the input; the
-    # copy's fingerprint state is derived from the input's through them.
+    # Blocks steps 1-3 write a temp into: the only ones mentioning one.
     step_edits: Set[str] = set()
 
     # Step 1: replace deleted occurrences.
@@ -342,8 +327,7 @@ def apply_placements(
             step_edits.add(label)
 
     # Step 2b: edge insertions; one split block per edge, shared by all
-    # expressions inserting there.  The split retargets the source's
-    # terminator, so both the new block and the source are edits.
+    # expressions inserting there.
     by_edge: Dict[Edge, List[Placement]] = {}
     for placement in placements:
         for edge in placement.insert_edges:
@@ -356,12 +340,6 @@ def apply_placements(
             split.append(Assign(placement.temp, placement.expr))
         split_labels.add(split.label)
         step_edits.add(split.label)
-        step_edits.add(src)
-
-    # Seed the copy's fingerprint state from the input's: only the
-    # blocks in step_edits hash differently, so the first fingerprint
-    # of the result is an incremental patch, not a whole-CFG hash.
-    notify_cfg_derived(work, cfg, sorted(step_edits))
 
     # Step 4: collapse isolated copies and drop dead insertions.  Both
     # sweeps ask only about temps, so one temp-scoped liveness serves
@@ -426,7 +404,7 @@ def _collapse_dead_copies(
             else:
                 i += 1
         if changed:
-            _mark_edited(cfg, liveness, [block.label])
+            liveness.edited([block.label])
 
 
 def _drop_dead_insertions(
@@ -465,7 +443,7 @@ def _drop_dead_insertions(
             # Facts stay frozen within the round (every block decides
             # against the same fixpoint — the old re-solve-per-round
             # semantics); the update lands at the round boundary.
-            _mark_edited(cfg, liveness, edited)
+            liveness.edited(edited)
 
 
 def eliminate_dead_code(

@@ -123,9 +123,7 @@ def _terminator_from_dict(data: Any, where: str) -> Terminator:
 def block_to_dict(block: BasicBlock) -> Dict[str, Any]:
     """Serialise one basic block (label, instructions, terminator).
 
-    The per-block payload of :func:`cfg_to_dict`, exposed separately so
-    content digests (:mod:`repro.obs.fingerprint`) can hash blocks
-    individually without re-serialising the whole graph.
+    The per-block payload of :func:`cfg_to_dict`.
     """
     if block.terminator is None:
         raise SerializeError(
@@ -161,6 +159,13 @@ def cfg_to_dict(cfg: CFG) -> Dict[str, Any]:
     }
 
 
+def _list_field(data: Dict[str, Any], key: str, where: str) -> List[Any]:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SerializeError(f"{where}: expected a list")
+    return value
+
+
 def cfg_from_dict(data: Any) -> CFG:
     """Deserialise a CFG from :func:`cfg_to_dict` output."""
     if not isinstance(data, dict) or data.get("format") != "repro-cfg":
@@ -169,6 +174,9 @@ def cfg_from_dict(data: Any) -> CFG:
         raise SerializeError(
             f"unsupported format version {data.get('version')!r}"
         )
+    for key in ("entry", "exit"):
+        if key not in data:
+            raise SerializeError(f"{key}: missing block label")
     cfg = CFG(entry=str(data["entry"]), exit=str(data["exit"]))
     blocks = data.get("blocks")
     if not isinstance(blocks, list):
@@ -178,9 +186,14 @@ def cfg_from_dict(data: Any) -> CFG:
         if not isinstance(bdata, dict) or "label" not in bdata:
             raise SerializeError(f"{where}: expected a block object")
         block = BasicBlock(str(bdata["label"]))
-        for j, idata in enumerate(bdata.get("instrs", ())):
+        if block.label in cfg:
+            raise SerializeError(
+                f"{where}.label: duplicate block label {block.label!r}"
+            )
+        instrs = _list_field(bdata, "instrs", f"{where}.instrs")
+        for j, idata in enumerate(instrs):
             iwhere = f"{where}.instrs[{j}]"
-            if not isinstance(idata, dict):
+            if not isinstance(idata, dict) or "target" not in idata:
                 raise SerializeError(f"{iwhere}: expected an instruction")
             block.append(
                 Assign(
@@ -192,12 +205,12 @@ def cfg_from_dict(data: Any) -> CFG:
             bdata.get("terminator"), f"{where}.terminator"
         )
         cfg.add_block(block)
-    for k, wdata in enumerate(data.get("weights", ())):
+    for k, wdata in enumerate(_list_field(data, "weights", "weights")):
         try:
             cfg.set_weight(
                 (str(wdata["src"]), str(wdata["dst"])), int(wdata["weight"])
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SerializeError(f"weights[{k}]: {exc}") from exc
     return cfg
 

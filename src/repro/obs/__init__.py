@@ -36,7 +36,6 @@ from repro.obs.fingerprint import cfg_fingerprint
 from repro.obs.manager import (
     AnalysisManager,
     CacheStats,
-    notify_cfg_derived,
     notify_cfg_edited,
     notify_cfg_mutated,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "is_active",
     "merge_counters",
     "merge_summaries",
-    "notify_cfg_derived",
     "notify_cfg_edited",
     "notify_cfg_mutated",
     "snapshot",

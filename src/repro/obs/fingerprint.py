@@ -1,165 +1,36 @@
-"""Content fingerprints for CFGs, maintained incrementally.
+"""Content fingerprints for CFGs.
 
 The cache key of the :class:`~repro.obs.manager.AnalysisManager`: a
-SHA-256 digest over the graph's content (block order, instructions,
-terminators, entry/exit, edge weights).  Two graphs with the same
-fingerprint have identical dataflow facts, so a memoized
-:class:`~repro.dataflow.solver.Solution` can be reused bit-for-bit.
+SHA-256 digest over the canonical JSON serialisation of the graph
+(block order, instructions, terminators, entry/exit, edge weights).
+Two graphs with the same fingerprint have identical dataflow facts, so
+a memoized :class:`~repro.dataflow.solver.Solution` can be reused
+bit-for-bit.
 
-The digest is built in two layers:
-
-* :func:`block_fingerprint` hashes one block's canonical JSON payload
-  (:func:`repro.ir.serialize.block_to_dict` — versioned, round-trip
-  exact);
-* :func:`combine_fingerprints` folds the per-block digests, in block
-  order, together with the entry/exit labels and the non-default edge
-  weights into the graph digest.
-
-``cfg_fingerprint`` composes the two for a from-scratch digest.  The
-point of the split is :class:`FingerprintState`: a per-CFG-object cache
-of the block digests that the manager keeps current through the
-``notify_cfg_edited`` / ``notify_cfg_mutated`` hooks, so an
-instruction-level edit re-hashes one block and re-combines — instead of
-re-serialising the whole graph.  The two paths are counter-pinned as
-``fingerprint.full`` (whole-graph hash) vs ``fingerprint.incr``
-(dirty-block refresh); both run under a ``fingerprint`` span.
+The digest deliberately goes through :func:`repro.ir.serialize.cfg_to_dict`
+rather than ``str(cfg)``: the serialiser is versioned, round-trip exact
+and covers edge weights, which pretty-printing omits.  Every digest runs
+under a ``fingerprint`` span and bumps the ``fingerprint.full`` counter;
+the manager memoizes one per graph state, so the counter is the number
+of whole-graph hashes actually paid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Optional
 
-from repro.ir.block import BasicBlock
 from repro.ir.cfg import CFG
-from repro.ir.serialize import block_to_dict
+from repro.ir.serialize import cfg_to_dict
 from repro.obs import trace
-
-#: Bumped whenever the digest construction changes shape, so digests
-#: from different code versions never collide in a shared store.
-COMBINE_VERSION = 2
-
-_JSON_ARGS = {"sort_keys": True, "separators": (",", ":")}
-
-
-def block_fingerprint(block: BasicBlock) -> str:
-    """A stable hex digest of one block's content (incl. its label)."""
-    payload = json.dumps(block_to_dict(block), **_JSON_ARGS)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def combine_fingerprints(cfg: CFG, digests: Dict[str, str]) -> str:
-    """Fold per-block *digests* into the graph digest of *cfg*.
-
-    *digests* must contain an entry for every block label of *cfg*; any
-    extra entries (blocks since removed) are ignored.  The combination
-    walks ``cfg.labels`` — block *order* is part of the content, the
-    iteration order of *digests* is not.  Entry/exit labels and
-    non-default edge weights (over the current edges, mirroring
-    :func:`~repro.ir.serialize.cfg_to_dict`) are folded in as well.
-    """
-    hasher = hashlib.sha256()
-    header = json.dumps(
-        {"v": COMBINE_VERSION, "entry": cfg.entry, "exit": cfg.exit},
-        **_JSON_ARGS,
-    )
-    hasher.update(header.encode("utf-8"))
-    for label in cfg.labels:
-        hasher.update(
-            json.dumps([label, digests[label]], **_JSON_ARGS).encode("utf-8")
-        )
-    weights = [
-        [src, dst, cfg.weight((src, dst))]
-        for src, dst in cfg.edges()
-        if cfg.weight((src, dst)) != 1
-    ]
-    hasher.update(json.dumps(weights, **_JSON_ARGS).encode("utf-8"))
-    return hasher.hexdigest()
 
 
 def cfg_fingerprint(cfg: CFG) -> str:
-    """A stable hex digest of *cfg*'s full content (from scratch)."""
-    with trace.span("fingerprint", mode="full", blocks=len(cfg)):
-        digests = {block.label: block_fingerprint(block) for block in cfg}
-        value = combine_fingerprints(cfg, digests)
+    """A stable hex digest of *cfg*'s full content."""
+    with trace.span("fingerprint", blocks=len(cfg)):
+        payload = json.dumps(
+            cfg_to_dict(cfg), sort_keys=True, separators=(",", ":")
+        )
+        value = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     trace.count("fingerprint.full")
     return value
-
-
-class FingerprintState:
-    """The incrementally maintained fingerprint of one CFG object.
-
-    Holds the per-block digests of the graph as last hashed, the
-    combined graph digest, and the set of labels edited since — marked
-    through :meth:`mark_edited` by the manager's notification hooks.
-    :meth:`current` refreshes lazily: dirty blocks (and blocks added
-    since the last hash) are re-hashed, digests of removed blocks are
-    pruned, and the combination is re-folded.  A refresh costs
-    O(edited region + combine), not O(graph serialisation), and bumps
-    ``fingerprint.incr``; only the initial :meth:`of` pays the
-    whole-graph ``fingerprint.full`` hash.
-
-    :meth:`derive` seeds the state of a *copied* graph from its base's
-    digests — the transformation engine copies the input, edits a known
-    set of blocks, and derives, so the copy's first fingerprint lookup
-    is already incremental.
-    """
-
-    __slots__ = ("value", "blocks", "dirty")
-
-    def __init__(
-        self,
-        value: Optional[str],
-        blocks: Dict[str, str],
-        dirty: Iterable[str] = (),
-    ) -> None:
-        self.value = value
-        self.blocks = blocks
-        self.dirty = set(dirty)
-
-    @classmethod
-    def of(cls, cfg: CFG) -> "FingerprintState":
-        """Hash *cfg* from scratch (the ``fingerprint.full`` path)."""
-        with trace.span("fingerprint", mode="full", blocks=len(cfg)):
-            digests = {block.label: block_fingerprint(block) for block in cfg}
-            value = combine_fingerprints(cfg, digests)
-        trace.count("fingerprint.full")
-        return cls(value, digests)
-
-    def mark_edited(self, labels: Iterable[str]) -> None:
-        """Record that the blocks named *labels* changed content."""
-        self.dirty.update(labels)
-
-    def current(self, cfg: CFG) -> str:
-        """The up-to-date graph digest, refreshing dirty blocks lazily."""
-        if self.dirty or self.value is None:
-            self.refresh(cfg)
-        return self.value
-
-    def refresh(self, cfg: CFG) -> str:
-        """Re-hash dirty/added blocks, prune removed ones, re-combine."""
-        current_labels = set(cfg.labels)
-        stale = {label for label in self.dirty if label in current_labels}
-        stale |= current_labels - self.blocks.keys()
-        with trace.span("fingerprint", mode="incr", blocks=len(stale)):
-            for label in stale:
-                self.blocks[label] = block_fingerprint(cfg.block(label))
-            for label in list(self.blocks.keys() - current_labels):
-                del self.blocks[label]
-            self.value = combine_fingerprints(cfg, self.blocks)
-        self.dirty.clear()
-        trace.count("fingerprint.incr")
-        return self.value
-
-    def derive(self, edited: Iterable[str]) -> "FingerprintState":
-        """State for a copy of this state's graph with *edited* blocks.
-
-        The copy shares the base's clean block digests; edited (or
-        newly added) labels are pending, plus anything already dirty on
-        the base.  The combined value is left unset — the first lookup
-        on the derived graph runs the incremental refresh.
-        """
-        return FingerprintState(
-            None, dict(self.blocks), self.dirty | set(edited)
-        )

@@ -13,23 +13,18 @@ over an unchanged graph hit the cache and return the *same* object —
 bit-identical facts, zero solver work.
 
 Because the fingerprint is content-based, caching is sound even across
-distinct CFG objects with equal content.  The only subtlety is in-place
-mutation: fingerprints are themselves cached per CFG *object* — as
-incrementally maintained :class:`~repro.obs.fingerprint.FingerprintState`
-holders of per-block digests — so code that mutates a graph in place
-must call :func:`notify_cfg_edited` (instruction-level edits, naming
-the touched blocks) or :func:`notify_cfg_mutated` (structural changes)
-— the transformation engine (:mod:`repro.core.transform`) and the pass
-pipeline (:mod:`repro.passes.pipeline`) do.  An edit marks just those
-blocks dirty, so the next fingerprint lookup re-hashes the edited
-region instead of re-serialising the graph; only an unattributed
-structural mutation forces a from-scratch hash.  Code that *copies* a
-graph and edits a known set of blocks can call
-:func:`notify_cfg_derived` to seed the copy's state from its base, so
-even the copy's first lookup is incremental.  Cached solutions are
-never dropped by invalidation: they stay valid for any graph that
-hashes to their fingerprint; invalidation only forces the fingerprint
-itself to be refreshed.
+distinct CFG objects with equal content — and across programs that only
+differ in formatting, which lower to equal graphs.  The only subtlety is
+in-place mutation: fingerprints are themselves memoized per CFG
+*object* (one whole-graph hash per graph state), so code that mutates a
+graph in place must call :func:`notify_cfg_edited` (instruction-level
+edits, naming the touched blocks) or :func:`notify_cfg_mutated`
+(structural changes) — the pass pipeline (:mod:`repro.passes.pipeline`),
+DCE and sinking do.  Either hook drops the memoized fingerprint, so the
+next lookup hashes the graph afresh.  Cached solutions are never dropped by
+invalidation: they stay valid for any graph that hashes to their
+fingerprint; invalidation only forces the fingerprint itself to be
+recomputed.
 
 A manager can additionally be given a
 :class:`~repro.obs.store.SolutionStore`, which turns the cache into two
@@ -54,33 +49,30 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Tuple
 
+# The module, not the function: benchmarks/e2e/README.md lists every
+# name bound to a layer entry point such as cfg_fingerprint.
+from repro.obs import fingerprint as _fingerprint
 from repro.obs import trace
-from repro.obs.fingerprint import FingerprintState
 from repro.ir.cfg import CFG
 
 #: Every live manager, so module-level mutation hooks can reach them all.
 _LIVE_MANAGERS: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def notify_cfg_mutated(cfg: CFG, labels=None) -> None:
+def notify_cfg_mutated(cfg: CFG) -> None:
     """Invalidate cached facts about *cfg* in every live manager.
 
     The hook mutating code must call after changing a graph's
     *structure* in place (blocks added/removed, edges retargeted).
-    Cheap when no managers exist or none has seen the graph.  Any
-    incremental liveness engines held for *cfg* drop all their facts.
-
-    With *labels* (the surviving blocks whose content changed), the
-    cached fingerprint state is patched instead of dropped: those
-    blocks are marked dirty, and the incremental refresh reconciles
-    added/removed blocks on its own.  Without *labels* the fingerprint
-    is dropped and recomputed from scratch.  Code making
+    Cheap when no managers exist or none has seen the graph.  The
+    memoized fingerprint is dropped, and any incremental liveness
+    engines held for *cfg* drop all their facts.  Code making
     instruction-level edits to existing blocks should call
     :func:`notify_cfg_edited` instead so liveness engines can patch
     rather than rebuild.
     """
     for manager in list(_LIVE_MANAGERS):
-        manager.invalidate(cfg, labels)
+        manager.invalidate(cfg)
 
 
 def notify_cfg_edited(cfg: CFG, labels) -> None:
@@ -91,32 +83,14 @@ def notify_cfg_edited(cfg: CFG, labels) -> None:
     the graph's structure — instruction inserts/deletes/replacements,
     or a branch-condition rewrite that preserves the successor targets.
     (Anything that adds/removes blocks or changes edges needs the
-    coarse hook.)  Every live manager marks just those blocks dirty in
-    its cached fingerprint state (an O(region) re-hash at the next
-    lookup), and its incremental liveness engines
+    coarse hook.)  Every live manager drops its memoized fingerprint of
+    *cfg*, and its incremental liveness engines
     (:class:`repro.dataflow.incremental.IncrementalLiveness`) keep
     their fixpoints and patch the affected region instead of
     re-solving globally.
     """
     for manager in list(_LIVE_MANAGERS):
         manager.notify_edited(cfg, labels)
-
-
-def notify_cfg_derived(new_cfg: CFG, base_cfg: CFG, labels) -> None:
-    """Seed fingerprint state for a copy of *base_cfg* edited at *labels*.
-
-    For code that copies a graph and then mutates the copy (the
-    transformation engine, local CSE): every live manager that already
-    holds fingerprint state for *base_cfg* derives state for *new_cfg*
-    from it, with *labels* — every block whose content differs from the
-    base, including freshly added ones — pending.  The copy's first
-    fingerprint lookup is then an incremental refresh rather than a
-    whole-graph hash.  Purely an optimisation: managers that never saw
-    the base simply skip, and *new_cfg* is hashed from scratch on
-    first use.
-    """
-    for manager in list(_LIVE_MANAGERS):
-        manager.derive_fingerprint(new_cfg, base_cfg, labels)
 
 
 @dataclass
@@ -174,21 +148,11 @@ class AnalysisManager:
         store: an optional :class:`~repro.obs.store.SolutionStore`
             consulted between the memory tier and a fresh solve, and
             written through on misses (the CLI's ``--cache-dir``).
-        incremental_fingerprints: with False, every notification drops
-            the cached fingerprint outright and the next lookup hashes
-            the whole graph — the pre-incremental behaviour, kept as a
-            benchmark baseline.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        store=None,
-        incremental_fingerprints: bool = True,
-    ) -> None:
+    def __init__(self, enabled: bool = True, store=None) -> None:
         self.enabled = enabled
         self.store = store
-        self.incremental_fingerprints = incremental_fingerprints
         self.stats = CacheStats()
         self._store: Dict[Tuple[str, str], Any] = {}
         self._plans: Dict[str, Any] = {}
@@ -199,36 +163,17 @@ class AnalysisManager:
     # -- keys -----------------------------------------------------------
 
     def fingerprint(self, cfg: CFG) -> str:
-        """The content fingerprint of *cfg*, cached per object.
+        """The content fingerprint of *cfg*, memoized per object.
 
-        The per-object cache holds a
-        :class:`~repro.obs.fingerprint.FingerprintState`; blocks marked
-        dirty by :meth:`notify_edited` / :meth:`invalidate` are
-        re-hashed lazily here, so a lookup after an instruction-level
-        edit pays O(edited region), not O(graph).
+        The memo holds one :func:`~repro.obs.fingerprint.cfg_fingerprint`
+        per graph state: :meth:`notify_edited` and :meth:`invalidate`
+        drop it, and the next lookup hashes the whole graph again.
         """
-        state = self._fingerprints.get(cfg)
-        if state is None:
-            state = FingerprintState.of(cfg)
-            self._fingerprints[cfg] = state
-            return state.value
-        return state.current(cfg)
-
-    def derive_fingerprint(self, new_cfg: CFG, base_cfg: CFG, labels) -> None:
-        """Seed *new_cfg*'s fingerprint state from *base_cfg*'s digests.
-
-        *labels* must cover every block of *new_cfg* whose content
-        differs from *base_cfg* (including freshly added blocks); they
-        are marked pending, so the first lookup on *new_cfg* refreshes
-        incrementally.  A no-op when the base was never fingerprinted
-        here, or when incremental fingerprints are disabled.
-        """
-        if not self.enabled or not self.incremental_fingerprints:
-            return
-        base = self._fingerprints.get(base_cfg)
-        if base is None:
-            return
-        self._fingerprints[new_cfg] = base.derive(labels)
+        value = self._fingerprints.get(cfg)
+        if value is None:
+            value = _fingerprint.cfg_fingerprint(cfg)
+            self._fingerprints[cfg] = value
+        return value
 
     # -- lookups --------------------------------------------------------
 
@@ -392,34 +337,14 @@ class AnalysisManager:
             self.stats.invalidations += 1
             trace.count("cache.invalidate")
 
-    def _mark_dirty(self, cfg: CFG, labels) -> None:
-        """Mark *labels* pending in *cfg*'s fingerprint state.
-
-        An invalidation is tallied the first time a clean, computed
-        fingerprint goes stale — the same once-per-computed-value
-        accounting the drop path uses.
-        """
-        state = self._fingerprints.get(cfg)
-        if state is None:
-            return
-        if state.value is not None and not state.dirty:
-            self.stats.invalidations += 1
-            trace.count("cache.invalidate")
-        state.mark_edited(labels)
-
-    def invalidate(self, cfg: CFG, labels=None) -> None:
+    def invalidate(self, cfg: CFG) -> None:
         """Note a structural mutation of *cfg* (the coarse path).
 
-        Any incremental engines held for *cfg* drop their facts, since
-        the graph's structure may have changed.  The fingerprint state
-        is patched when *labels* (the surviving blocks whose content
-        changed) are given — the incremental refresh reconciles
-        added/removed blocks itself — and dropped otherwise.
+        The memoized fingerprint is dropped, and any incremental engines
+        held for *cfg* drop their facts, since the graph's structure may
+        have changed.
         """
-        if labels is None or not self.incremental_fingerprints:
-            self._drop_fingerprint(cfg)
-        else:
-            self._mark_dirty(cfg, labels)
+        self._drop_fingerprint(cfg)
         engines = self._engines.get(cfg)
         if engines:
             for engine in engines.values():
@@ -428,14 +353,10 @@ class AnalysisManager:
     def notify_edited(self, cfg: CFG, labels) -> None:
         """Record instruction-level edits to *cfg*'s *labels* blocks.
 
-        The edited blocks are marked dirty in the fingerprint state
-        (re-hashed at the next lookup), and incremental engines keep
-        their fixpoints, marking just those blocks for patching.
+        The memoized fingerprint is dropped, and incremental engines
+        keep their fixpoints, marking just those blocks for patching.
         """
-        if self.incremental_fingerprints:
-            self._mark_dirty(cfg, labels)
-        else:
-            self._drop_fingerprint(cfg)
+        self._drop_fingerprint(cfg)
         engines = self._engines.get(cfg)
         if engines:
             for engine in engines.values():

@@ -18,7 +18,7 @@ additional redundancies it exposes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Tuple
 
 from repro.ir.cfg import CFG
 from repro.ir.expr import Atom, BinExpr, Const, Expr
@@ -51,34 +51,17 @@ def canonicalize_expr(expr: Expr) -> Expr:
     return BinExpr(op, left, right)
 
 
-def canonicalize(
-    cfg: CFG,
-    blocks: Optional[Iterable[str]] = None,
-    edited: Optional[List[str]] = None,
-) -> int:
-    """Canonicalise every expression of *cfg* in place; returns rewrites.
-
-    The rewrite is purely block-local, so *blocks* (when given) scopes
-    it exactly: only those blocks are visited.  Labels of blocks
-    actually changed are appended to *edited* when given.
-    """
-    scope = None if blocks is None else set(blocks)
+def canonicalize(cfg: CFG) -> int:
+    """Canonicalise every expression of *cfg* in place; returns rewrites."""
     rewrites = 0
     for block in cfg:
-        if scope is not None and block.label not in scope:
-            continue
-        block_rewrites = 0
         new_instrs = []
         for instr in block.instrs:
             expr = canonicalize_expr(instr.expr)
             if expr is not instr.expr:
-                block_rewrites += 1
+                rewrites += 1
                 new_instrs.append(Assign(instr.target, expr))
             else:
                 new_instrs.append(instr)
-        if block_rewrites:
-            block.instrs[:] = new_instrs
-            rewrites += block_rewrites
-            if edited is not None:
-                edited.append(block.label)
+        block.instrs[:] = new_instrs
     return rewrites

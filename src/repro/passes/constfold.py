@@ -17,7 +17,7 @@ single-purpose.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.dataflow.order import reverse_postorder
 from repro.interp.machine import eval_expr
@@ -137,11 +137,7 @@ def _solve_entry_envs(cfg: CFG) -> Dict[str, Dict[str, object]]:
     return entry_env
 
 
-def fold_constants(
-    cfg: CFG,
-    blocks: Optional[Iterable[str]] = None,
-    edited: Optional[List[str]] = None,
-) -> int:
+def fold_constants(cfg: CFG, edited: Optional[List[str]] = None) -> int:
     """Fold/propagate constants through *cfg* in place; returns rewrites.
 
     Every variable may carry an arbitrary *input* value when the
@@ -152,23 +148,15 @@ def fold_constants(
 
     Args:
         cfg: the program (mutated).
-        blocks: restrict the *rewrite sweep* to these labels.  The
-            dataflow fixpoint is always solved globally, so scoping is
-            exact whenever *blocks* covers every block whose content or
-            entry environment changed since the last run (the dirty
-            region the pass pipeline tracks).
         edited: when given, the labels of blocks this call actually
-            changed are appended — the caller's input for invalidation
-            and dirty-region scheduling.
+            changed are appended — what the caller announces through
+            :func:`repro.obs.manager.notify_cfg_edited`.
     """
     entry_env = _solve_entry_envs(cfg)
 
     # Rewrite with the solved environments.
-    scope = None if blocks is None else set(blocks)
     rewrites = 0
     for block in cfg:
-        if scope is not None and block.label not in scope:
-            continue
         env = dict(entry_env[block.label])
         block_rewrites = 0
         new_instrs = []

@@ -16,7 +16,7 @@ chains collapse fully in practice.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.bitvec import BitVector
 from repro.dataflow.problem import DataflowProblem
@@ -59,21 +59,15 @@ def _substitute(expr: Expr, mapping: Dict[str, str]) -> Expr:
 
 
 def copy_propagate(
-    cfg: CFG,
-    blocks: Optional[Iterable[str]] = None,
-    edited: Optional[List[str]] = None,
-    manager=None,
+    cfg: CFG, edited: Optional[List[str]] = None, manager=None
 ) -> int:
     """Propagate copies through *cfg* in place; returns rewrites made.
 
     Args:
         cfg: the program (mutated).
-        blocks: restrict the *rewrite sweep* to these labels.  The
-            reaching-copies fixpoint is always solved globally, so the
-            scope is exact whenever it covers every block whose content
-            or entry facts changed since the last run.
         edited: when given, labels of blocks actually changed are
-            appended, for the caller's invalidation bookkeeping.
+            appended — what the caller announces through
+            :func:`repro.obs.manager.notify_cfg_edited`.
         manager: optional :class:`~repro.obs.manager.AnalysisManager`;
             the solve routes through its memo tiers and dense plan.
     """
@@ -118,11 +112,8 @@ def copy_propagate(
     else:
         solution = solve(cfg, problem)
 
-    scope = None if blocks is None else set(blocks)
     rewrites = 0
     for block in cfg:
-        if scope is not None and block.label not in scope:
-            continue
         active: Dict[str, str] = {
             dst: src
             for dst, src in (pairs[i] for i in solution.inof[block.label])

@@ -30,8 +30,6 @@ def dead_code_elimination(
     cfg: CFG,
     observable: Optional[Iterable[str]] = None,
     manager: Optional[AnalysisManager] = None,
-    blocks: Optional[Iterable[str]] = None,
-    edited: Optional[List[str]] = None,
 ) -> int:
     """Remove dead assignments from *cfg* in place; returns the count.
 
@@ -46,14 +44,11 @@ def dead_code_elimination(
         manager: optional :class:`~repro.obs.manager.AnalysisManager`;
             the single full liveness solve routes through its memo
             tiers and shares its dense plan.
-        blocks: restrict the removal sweep to these labels.  Liveness
-            is a backward analysis, so scoping is exact whenever
-            *blocks* covers the edited blocks and everything that can
-            reach them; between rounds the scope grows by the backward
-            closure of this call's own removals, since a removal can
-            only expose new dead stores at or upstream of itself.
-        edited: when given, labels of blocks actually changed are
-            appended (possibly repeatedly across rounds).
+
+    Edits are announced through
+    :func:`repro.obs.manager.notify_cfg_edited` at each round boundary
+    (a manager-held engine patches from them), so callers need not
+    announce them again.
     """
     live_at_exit = (
         sorted(cfg.variables()) if observable is None else sorted(set(observable))
@@ -63,15 +58,12 @@ def dead_code_elimination(
     else:
         engine = manager.liveness(cfg, live_at_exit=live_at_exit)
     engine.solve()
-    scope = None if blocks is None else set(blocks)
     removed = 0
     changed = True
     while changed:
         changed = False
-        round_edited: List[str] = []
+        edited: List[str] = []
         for block in cfg:
-            if scope is not None and block.label not in scope:
-                continue
             keep: List = []
             for i, instr in enumerate(block.instrs):
                 if not engine.is_live_after(block.label, i, instr.target):
@@ -81,16 +73,12 @@ def dead_code_elimination(
                     keep.append(instr)
             if len(keep) != len(block.instrs):
                 block.instrs[:] = keep
-                round_edited.append(block.label)
-        if round_edited:
+                edited.append(block.label)
+        if edited:
             # Every block in a round decides against the same fixpoint
             # (the old per-round re-solve semantics); the incremental
             # patch lands at the round boundary.
-            notify_cfg_edited(cfg, round_edited)
+            notify_cfg_edited(cfg, edited)
             if manager is None:
-                engine.blocks_edited(round_edited)
-            if scope is not None:
-                scope |= cfg.reaching(round_edited)
-            if edited is not None:
-                edited.extend(round_edited)
+                engine.blocks_edited(edited)
     return removed

@@ -7,35 +7,19 @@ copies and structure it leaves behind — iterating the cleanup trio to a
 fixed point because each enables the others (copy propagation exposes
 dead stores, DCE exposes pass-through blocks, ...).
 
-The cleanup fixpoint is driven by **dirty-region scheduling** (the
-default; ``scheduling="full"`` keeps the classic whole-CFG sweeps as a
-reference and benchmark baseline).  Each pass keeps a dirty set of
-block labels; a pass only runs when its set is non-empty, consumes the
-set as its rewrite scope, and every edit re-dirties the blocks whose
-facts that edit can change: the *forward* closure (edit + descendants)
-for the forward passes (copy propagation, constant folding), the
-*backward* closure (edit + ancestors) for DCE.  The dataflow fixpoints
-themselves are still solved globally each call, so a scoped run makes
-exactly the rewrites a whole-CFG run would — the scope only skips
-blocks whose facts and content are provably unchanged — and the final
-IR is bit-identical (a hypothesis differential test pins this).
-Structural simplification stays whole-CFG (it is driven by a
-reachability walk, not per-block facts) and runs only when something
-changed since its last run; its edits reset every dirty set.
-
 Every pass runs under a :func:`repro.obs.trace.span` (``pipeline.run``
 with one ``pass.<name>`` child per rewrite pass and one
 ``pipeline.round`` span per cleanup iteration), and every in-place
 mutation is announced — block-granular edits through
-:func:`repro.obs.manager.notify_cfg_edited`, structural changes
-through :func:`repro.obs.manager.notify_cfg_mutated` (with the touched
-labels, so fingerprint state is patched, not dropped).
+:func:`repro.obs.manager.notify_cfg_edited` (so DCE's liveness engine
+patches instead of re-solving), structural changes through
+:func:`repro.obs.manager.notify_cfg_mutated`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.core.localcse import local_cse
 from repro.core.pipeline import OptimizeConfig, optimize
@@ -43,7 +27,6 @@ from repro.ir.cfg import CFG
 from repro.ir.validate import validate_cfg
 from repro.obs.manager import (
     AnalysisManager,
-    notify_cfg_derived,
     notify_cfg_edited,
     notify_cfg_mutated,
 )
@@ -78,174 +61,58 @@ class PassResult:
 
 
 def _run_pass(result: PassResult, name: str, fn, cfg: CFG) -> int:
-    """Run one whole-CFG rewrite pass under a span (legacy scheduling).
+    """Run one in-place rewrite pass under a span and tally it.
 
-    Invalidation is coarse — any rewrite drops/dirties the whole
-    fingerprint — which is exactly the behaviour the ``scheduling="full"``
-    baseline arm of the rewrite benchmark wants to measure against.
+    ``fn(cfg, edited)`` returns its rewrite count and appends the labels
+    of the blocks it changed to *edited*, which are then announced
+    through :func:`~repro.obs.manager.notify_cfg_edited`.
     """
-    with span(f"pass.{name}") as sp:
-        count = fn(cfg)
-        sp.set(rewrites=count)
-    if count:
-        notify_cfg_mutated(cfg)
-    result.bump(name, count)
-    return count
-
-
-def _run_pass_edited(
-    result: PassResult, name: str, fn, cfg: CFG, edits: List[str]
-) -> int:
-    """Run one block-local rewrite pass, announcing edits per label."""
     edited: List[str] = []
     with span(f"pass.{name}") as sp:
-        count = fn(cfg, edited=edited)
+        count = fn(cfg, edited)
         sp.set(rewrites=count)
     if edited:
         notify_cfg_edited(cfg, edited)
-        edits.extend(edited)
     result.bump(name, count)
     return count
-
-
-def _spread_dirt(
-    cfg: CFG, dirty: Dict[str, Set[str]], edited: List[str]
-) -> None:
-    """Re-dirty every block whose pass-relevant facts an edit can change.
-
-    Copy propagation and constant folding are forward problems: an edit
-    changes facts at the edited block and its descendants.  Liveness
-    (DCE) is backward: an edit changes facts at the edited block and
-    its ancestors.
-    """
-    forward = cfg.reachable_from(edited)
-    dirty["copyprop"] |= forward
-    dirty["constfold"] |= forward
-    dirty["dce"] |= cfg.reaching(edited)
-
-
-def _cleanup_full(
-    cfg: CFG,
-    result: PassResult,
-    max_rounds: int,
-    manager: Optional[AnalysisManager],
-) -> None:
-    """Legacy fixpoint: every pass sweeps the whole CFG every round."""
-
-    def _dce(c: CFG) -> int:
-        return dead_code_elimination(c, manager=manager)
-
-    for _ in range(max_rounds):
-        round_total = 0
-        round_total += _run_pass(result, "copyprop", copy_propagate, cfg)
-        round_total += _run_pass(result, "constfold", fold_constants, cfg)
-        round_total += _run_pass(result, "dce", _dce, cfg)
-        with span("pass.simplify") as sp:
-            stats = simplify_cfg(cfg)
-            sp.set(rewrites=stats.total)
-        if stats.total:
-            notify_cfg_mutated(cfg)
-        result.bump("simplify", stats.total)
-        round_total += stats.total
-        if round_total == 0:
-            return
-
-
-def _cleanup_dirty(
-    cfg: CFG,
-    result: PassResult,
-    max_rounds: int,
-    manager: Optional[AnalysisManager],
-) -> None:
-    """Dirty-region fixpoint: each pass revisits only suspect blocks.
-
-    Every dirty set starts full (the PRE phase touched an unknown
-    region), so round one matches the legacy sweep; from then on a pass
-    runs only over blocks re-dirtied by closures of actual edits.
-    Structural simplification runs whenever anything changed since its
-    last run; its edits reset every dirty set because block identity
-    itself moved.
-    """
-    labels = set(cfg.labels)
-    dirty: Dict[str, Set[str]] = {
-        "copyprop": set(labels),
-        "constfold": set(labels),
-        "dce": set(labels),
-    }
-    simplify_pending = True
-
-    def scoped(name: str, fn, notify: bool) -> int:
-        scope = dirty[name]
-        if not scope:
-            return 0
-        dirty[name] = set()
-        edited: List[str] = []
-        with span(f"pass.{name}") as sp:
-            count = fn(scope, edited)
-            sp.set(rewrites=count, scope=len(scope))
-        if edited:
-            if notify:
-                notify_cfg_edited(cfg, edited)
-            _spread_dirt(cfg, dirty, edited)
-        result.bump(name, count)
-        return count
-
-    for round_no in range(max_rounds):
-        with span("pipeline.round", round=round_no) as round_sp:
-            trio_total = scoped(
-                "copyprop",
-                lambda scope, edited: copy_propagate(
-                    cfg, blocks=scope, edited=edited, manager=manager
-                ),
-                notify=True,
-            )
-            trio_total += scoped(
-                "constfold",
-                lambda scope, edited: fold_constants(
-                    cfg, blocks=scope, edited=edited
-                ),
-                notify=True,
-            )
-            # DCE announces its own edits at each internal round
-            # boundary (its scoped liveness patches depend on it).
-            trio_total += scoped(
-                "dce",
-                lambda scope, edited: dead_code_elimination(
-                    cfg, manager=manager, blocks=scope, edited=edited
-                ),
-                notify=False,
-            )
-            round_total = trio_total
-            if simplify_pending or trio_total:
-                with span("pass.simplify") as sp:
-                    stats = simplify_cfg(cfg)
-                    sp.set(rewrites=stats.total)
-                if stats.total:
-                    notify_cfg_mutated(cfg, labels=sorted(stats.touched))
-                    current = set(cfg.labels)
-                    for name in dirty:
-                        dirty[name] = set(current)
-                result.bump("simplify", stats.total)
-                round_total += stats.total
-                simplify_pending = stats.total > 0
-            round_sp.set(rewrites=round_total)
-            if round_total == 0 and not simplify_pending:
-                return
 
 
 def _cleanup_to_fixpoint(
     cfg: CFG,
     result: PassResult,
+    manager: Optional[AnalysisManager],
     max_rounds: int = 20,
-    manager: Optional[AnalysisManager] = None,
-    scheduling: str = "dirty",
 ) -> None:
-    if scheduling == "full":
-        _cleanup_full(cfg, result, max_rounds, manager)
-    elif scheduling == "dirty":
-        _cleanup_dirty(cfg, result, max_rounds, manager)
-    else:
-        raise ValueError(f"unknown scheduling {scheduling!r}")
+    """Run the cleanup passes over the whole CFG until a round rewrites
+    nothing."""
+    for round_no in range(max_rounds):
+        with span("pipeline.round", round=round_no) as round_sp:
+            total = _run_pass(
+                result,
+                "copyprop",
+                lambda c, edited: copy_propagate(
+                    c, edited=edited, manager=manager
+                ),
+                cfg,
+            )
+            total += _run_pass(result, "constfold", fold_constants, cfg)
+            # DCE announces its own edits, round by round.
+            total += _run_pass(
+                result,
+                "dce",
+                lambda c, _: dead_code_elimination(c, manager=manager),
+                cfg,
+            )
+            with span("pass.simplify") as sp:
+                stats = simplify_cfg(cfg)
+                sp.set(rewrites=stats.total)
+            if stats.total:
+                notify_cfg_mutated(cfg)
+            result.bump("simplify", stats.total)
+            total += stats.total
+            round_sp.set(rewrites=total)
+        if total == 0:
+            return
 
 
 def run_pipeline(
@@ -253,7 +120,6 @@ def run_pipeline(
     pre_strategy: Optional[str] = "lcm",
     validate: bool = True,
     manager: Optional[AnalysisManager] = None,
-    scheduling: str = "dirty",
 ) -> PassResult:
     """Run the standard pipeline on a copy of *cfg*.
 
@@ -265,11 +131,6 @@ def run_pipeline(
         manager: optional :class:`repro.obs.manager.AnalysisManager`
             memoizing dataflow solutions across the PRE pass (and
             across repeated pipeline runs on identical programs).
-        scheduling: ``"dirty"`` (default) drives the cleanup fixpoint
-            from per-pass dirty-block sets; ``"full"`` sweeps the whole
-            CFG every round (legacy behaviour, kept as the reference
-            for the differential tests and the benchmark baseline).
-            Both produce bit-identical output.
     """
     if validate:
         with span("pass.validate", stage="input"):
@@ -277,19 +138,13 @@ def run_pipeline(
     with span("pipeline.run", pre=pre_strategy or "none") as sp:
         work = cfg.copy()
         result = PassResult(cfg=work)
-        pre_edits: List[str] = []
-        _run_pass_edited(result, "canonicalize", canonicalize, work, pre_edits)
-        _run_pass_edited(result, "constfold", fold_constants, work, pre_edits)
-        # The copy's blocks hash identically to the input's except where
-        # the two passes above rewrote, so seed its fingerprint state
-        # from the input's instead of rehashing the whole graph.
-        notify_cfg_derived(work, cfg, pre_edits)
+        # No manager holds state for the fresh copy yet, so the
+        # canonicaliser need not report its edits.
+        _run_pass(result, "canonicalize", lambda c, _: canonicalize(c), work)
+        _run_pass(result, "constfold", fold_constants, work)
         with span("pass.lcse") as lcse_sp:
-            lcse_edits: List[str] = []
-            cse_work, lcse_replaced = local_cse(work, edited=lcse_edits)
+            work, lcse_replaced = local_cse(work)
             lcse_sp.set(rewrites=lcse_replaced)
-        notify_cfg_derived(cse_work, work, lcse_edits)
-        work = cse_work
         result.cfg = work
         result.bump("lcse", lcse_replaced)
 
@@ -310,9 +165,7 @@ def run_pipeline(
                 ),
             )
 
-        _cleanup_to_fixpoint(
-            work, result, manager=manager, scheduling=scheduling
-        )
+        _cleanup_to_fixpoint(work, result, manager)
         sp.set(total_rewrites=result.total_rewrites)
     if validate:
         with span("pass.validate", stage="output"):

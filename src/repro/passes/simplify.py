@@ -22,7 +22,7 @@ fixed point and reports how many of each rewrite it performed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Set
 
 from repro.ir.cfg import CFG
@@ -31,21 +31,12 @@ from repro.ir.instr import CondBranch, Const, Jump
 
 @dataclass
 class SimplifyStats:
-    """What :func:`simplify_cfg` did.
-
-    ``touched`` collects the labels of *surviving* blocks whose content
-    (instructions or terminator) the pass changed — removed blocks are
-    not listed.  Callers pass it to
-    :func:`repro.obs.manager.notify_cfg_mutated` so fingerprint state
-    is patched (dirty labels + add/remove reconciliation) instead of
-    recomputed from scratch.
-    """
+    """What :func:`simplify_cfg` did."""
 
     branches_folded: int = 0
     blocks_elided: int = 0
     blocks_merged: int = 0
     unreachable_removed: int = 0
-    touched: Set[str] = field(default_factory=set)
 
     @property
     def total(self) -> int:
@@ -66,13 +57,11 @@ def _fold_branches(cfg: CFG, stats: SimplifyStats) -> bool:
         if term.then_target == term.else_target:
             block.terminator = Jump(term.then_target)
             stats.branches_folded += 1
-            stats.touched.add(block.label)
             changed = True
         elif isinstance(term.cond, Const):
             target = term.then_target if term.cond.value else term.else_target
             block.terminator = Jump(target)
             stats.branches_folded += 1
-            stats.touched.add(block.label)
             changed = True
     if changed:
         cfg.notify_terminator_changed()
@@ -101,9 +90,7 @@ def _elide_pass_throughs(cfg: CFG, stats: SimplifyStats) -> bool:
         # so always safe; we just need to fold afterwards.
         for pred in preds:
             cfg.retarget(pred, label, target)
-            stats.touched.add(pred)
         cfg.remove_block(label)
-        stats.touched.discard(label)
         stats.blocks_elided += 1
         changed = True
         _fold_branches(cfg, stats)
@@ -136,8 +123,6 @@ def _merge_linear_pairs(cfg: CFG, stats: SimplifyStats) -> bool:
         block.terminator = succ_block.terminator
         cfg.notify_terminator_changed()
         cfg.remove_block(succ)
-        stats.touched.add(label)
-        stats.touched.discard(succ)
         stats.blocks_merged += 1
         changed = True
     return changed
@@ -155,7 +140,6 @@ def _remove_unreachable(cfg: CFG, stats: SimplifyStats) -> bool:
     doomed = [l for l in cfg.labels if l not in reachable and l != cfg.exit]
     for label in doomed:
         cfg.remove_block(label)
-        stats.touched.discard(label)
         stats.unreachable_removed += 1
     return bool(doomed)
 

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.batch.driver import MAX_TIMEOUT_S
 from repro.batch.report import BatchReport, ItemResult
 
 #: Name and version of the serve envelope schema.
@@ -172,8 +173,9 @@ def parse_request(document: Any) -> Request:
         _expect(
             isinstance(timeout, (int, float))
             and not isinstance(timeout, bool)
-            and timeout > 0,
-            "timeout must be a positive number of seconds",
+            and 0 < timeout <= MAX_TIMEOUT_S,
+            "timeout must be a positive number of seconds no larger "
+            f"than {MAX_TIMEOUT_S:g}",
         )
         timeout = float(timeout)
     name = document.get("name", "")

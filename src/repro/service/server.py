@@ -53,7 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.batch.driver import BatchConfig, WorkItem
+from repro.batch.driver import BatchConfig, WorkItem, check_seconds
 from repro.batch.supervisor import WorkerPool
 from repro.obs.store import JSONRecord, SolutionStore
 from repro.obs.trace import Tracer, snapshot
@@ -118,6 +118,10 @@ class ServeConfig:
     cache: bool = True
     max_tasks_per_worker: Optional[int] = None
     allow_call: bool = False
+
+    def __post_init__(self) -> None:
+        check_seconds("timeout", self.timeout)
+        check_seconds("grace", self.grace)
 
 
 class ReproServer:

@@ -19,6 +19,7 @@ from repro.batch import (
     items_from_dir,
     run_batch,
 )
+from repro.batch.driver import MAX_TIMEOUT_S
 from repro.interp.machine import run
 from repro.interp.random_inputs import random_envs
 from repro.ir.serialize import cfg_from_json
@@ -263,6 +264,20 @@ class TestParallel:
         assert report.ok
         assert [item.name for item in report.items] == [i.name for i in items]
         assert [item.index for item in report.items] == list(range(len(items)))
+
+
+class TestConfig:
+    # The supervisor waits on worker pipes with Connection.poll, which
+    # overflows past ~24.8 days: such budgets must be refused up front.
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 3e6])
+    @pytest.mark.parametrize("field", ["timeout", "grace", "deadline_s"])
+    def test_unwaitable_time_budgets_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BatchConfig(jobs=2, **{field: value})
+
+    def test_largest_budget_accepted(self):
+        config = BatchConfig(jobs=2, timeout=MAX_TIMEOUT_S, deadline_s=0.0)
+        assert config.timeout == MAX_TIMEOUT_S
 
 
 # -- differential property: optimization preserves semantics ----------------

@@ -252,6 +252,14 @@ class TestBatch:
         code, _ = invoke("batch", str(tmp_path / "nope"))
         assert code == 2
 
+    def test_unwaitable_timeout_is_cli_error(self, corpus, capsys):
+        code, _ = invoke("batch", str(corpus), "--jobs", "2",
+                         "--timeout", "inf")
+        assert code == 2
+        assert "error: timeout must be a finite number" in (
+            capsys.readouterr().err
+        )
+
     def test_stream_emits_ndjson_then_report(self, corpus):
         code, text = invoke("batch", str(corpus), "--jobs", "2",
                             "--stream", "--emit", "json")
@@ -584,6 +592,14 @@ class TestServeCommand:
         assert args.response_cache == 256
         assert args.recycle_after is None
         assert not args.allow_call
+
+    def test_unwaitable_timeout_is_cli_error(self, capsys):
+        code = main(["serve", "--jobs", "1", "--timeout", "inf"],
+                    out=io.StringIO())
+        assert code == 2
+        assert "error: timeout must be a finite number" in (
+            capsys.readouterr().err
+        )
 
     def test_serve_end_to_end_over_the_cli(self):
         import threading

@@ -103,6 +103,47 @@ class TestCfgRoundTrip:
         with pytest.raises(SerializeError, match=r"blocks\[2\]"):
             cfg_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (
+                lambda d: d["blocks"][2].update(instrs=5),
+                r"blocks\[2\]\.instrs",
+            ),
+            (lambda d: d.update(weights=5), "weights"),
+            (lambda d: d.pop("entry"), "entry"),
+            (lambda d: d.pop("exit"), "exit"),
+            (
+                lambda d: d["blocks"].append(dict(d["blocks"][2])),
+                r"blocks\[6\]\.label",
+            ),
+            (
+                lambda d: d["blocks"][2]["instrs"][0].pop("target"),
+                r"blocks\[2\]\.instrs\[0\]",
+            ),
+            (
+                lambda d: d["weights"].append(
+                    {"src": "cond", "dst": "left", "weight": "many"}
+                ),
+                r"weights\[0\]",
+            ),
+        ],
+        ids=[
+            "instrs-not-a-list",
+            "weights-not-a-list",
+            "entry-missing",
+            "exit-missing",
+            "duplicate-label",
+            "target-missing",
+            "weight-not-a-number",
+        ],
+    )
+    def test_malformed_field_raises_serialize_error(self, corrupt, field):
+        data = cfg_to_dict(diamond())
+        corrupt(data)
+        with pytest.raises(SerializeError, match=field):
+            cfg_from_dict(data)
+
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.integers(min_value=0, max_value=5000))

@@ -1,20 +1,20 @@
-"""Incremental fingerprints and dirty-region scheduling, pinned.
+"""Content fingerprints and the manager's fingerprint memo, pinned.
 
 Three contracts from docs/OBSERVABILITY.md and docs/PERFORMANCE.md:
 
-* the two-layer digest (:func:`block_fingerprint` +
-  :func:`combine_fingerprints`) equals the from-scratch
-  :func:`cfg_fingerprint` and is insensitive to the digest dict's
-  iteration order but sensitive to everything that is content — block
-  order, entry/exit, edges (via terminators), edge weights;
-* a :class:`FingerprintState` kept current through edit scripts (and
-  :meth:`~FingerprintState.derive` across graph copies) always agrees
-  with hashing from scratch, while paying ``fingerprint.incr``
-  refreshes instead of ``fingerprint.full`` re-hashes;
-* ``run_pipeline(scheduling="dirty")`` produces bit-identical IR and
-  rewrite tallies to the whole-CFG reference arm, on handwritten,
-  random reducible and random irreducible graphs alike.
+* :func:`cfg_fingerprint` — one SHA-256 over the canonical JSON — is
+  sensitive to everything that is content: block order, edges (via
+  terminators), edge weights;
+* an :class:`AnalysisManager` memoizes one digest per graph state and
+  drops it on every edit announced through :func:`notify_cfg_edited`
+  or :func:`notify_cfg_mutated`, so its fingerprint never goes stale,
+  and the optimize path hashes exactly three graph states per item;
+* the pass pipeline and the optimize path produce the IR and rewrite
+  tallies pinned by golden digests over seeded random programs.
 """
+
+import hashlib
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,14 +26,9 @@ from repro.bench.generators import GeneratorConfig, random_cfg
 from repro.bench.shapegen import ShapeConfig, random_shape_cfg
 from repro.ir.builder import CFGBuilder
 from repro.ir.expr import BinExpr, Var
-from repro.ir.instr import Assign
-from repro.ir.pretty import pretty_cfg
-from repro.obs.fingerprint import (
-    FingerprintState,
-    block_fingerprint,
-    cfg_fingerprint,
-    combine_fingerprints,
-)
+from repro.ir.instr import Assign, Jump
+from repro.ir.serialize import cfg_to_json
+from repro.obs.fingerprint import cfg_fingerprint
 from repro.obs.manager import (
     AnalysisManager,
     notify_cfg_edited,
@@ -54,29 +49,12 @@ quick = settings(
 seeds = st.integers(min_value=0, max_value=10_000)
 
 
-def _digests(cfg):
-    return {block.label: block_fingerprint(block) for block in cfg}
+def _full_hashes(tracer) -> int:
+    return tracer.counters.get("fingerprint.full", 0)
 
 
 class TestCombine:
-    def test_two_layer_digest_equals_from_scratch(self):
-        cfg = diamond()
-        assert combine_fingerprints(cfg, _digests(cfg)) == cfg_fingerprint(cfg)
-
-    def test_digest_dict_iteration_order_is_not_content(self):
-        cfg = diamond()
-        digests = _digests(cfg)
-        reversed_insertion = dict(reversed(list(digests.items())))
-        assert list(reversed_insertion) != list(digests)
-        assert combine_fingerprints(cfg, reversed_insertion) == (
-            combine_fingerprints(cfg, digests)
-        )
-
-    def test_extra_digests_for_removed_blocks_are_ignored(self):
-        cfg = diamond()
-        digests = _digests(cfg)
-        digests["ghost"] = "0" * 64
-        assert combine_fingerprints(cfg, digests) == cfg_fingerprint(cfg)
+    """What the digest covers: everything that is graph content."""
 
     def test_block_order_is_content(self):
         def build(arms):
@@ -111,64 +89,68 @@ class TestCombine:
 
 
 class TestFingerprintState:
+    """The manager's per-object fingerprint: dropped on every announced
+    edit, so a lookup always equals hashing from scratch."""
+
     def test_edit_refresh_matches_scratch(self):
+        manager = AnalysisManager()
         cfg = diamond()
-        state = FingerprintState.of(cfg)
-        assert state.value == cfg_fingerprint(cfg)
+        assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
         cfg.block("join").append(Assign("q", BinExpr("+", Var("a"), Var("b"))))
-        state.mark_edited(["join"])
-        assert state.current(cfg) == cfg_fingerprint(cfg)
+        notify_cfg_edited(cfg, ["join"])
+        assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
 
     def test_refresh_handles_added_and_removed_blocks(self):
-        from repro.ir.instr import Jump
-
+        manager = AnalysisManager()
         cfg = diamond()
-        state = FingerprintState.of(cfg)
+        manager.fingerprint(cfg)
         split = cfg.split_edge("right", "join", "landing")
         split.append(Assign("t", BinExpr("+", Var("a"), Var("b"))))
-        state.mark_edited(["right", split.label])
-        assert state.current(cfg) == cfg_fingerprint(cfg)
+        notify_cfg_mutated(cfg)
+        assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
         # Undo the split: remove the landing block, jump straight again.
         cfg.remove_block(split.label)
         cfg.block("right").terminator = Jump("join")
         cfg.notify_terminator_changed()
-        state.mark_edited(["right", split.label])
-        assert state.current(cfg) == cfg_fingerprint(cfg)
-
-    def test_derive_seeds_a_copy(self):
-        cfg = diamond()
-        state = FingerprintState.of(cfg)
-        copy = cfg.copy()
-        copy.block("left").append(
-            Assign("z", BinExpr("+", Var("c"), Var("d")))
-        )
-        derived = state.derive(["left"])
-        assert derived.value is None
-        assert derived.current(copy) == cfg_fingerprint(copy)
-        # The base state is untouched by the copy's refresh.
-        assert state.current(cfg) == cfg_fingerprint(cfg)
+        notify_cfg_mutated(cfg)
+        assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
 
     @quick
-    @given(seeds, st.lists(st.integers(0, 10_000), min_size=1, max_size=6))
-    def test_edit_scripts_agree_with_scratch(self, seed, script):
-        cfg = random_cfg(seed, SMALL)
-        state = FingerprintState.of(cfg)
+    @given(
+        seeds,
+        st.booleans(),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=8),
+    )
+    def test_edit_scripts_agree_with_scratch(self, seed, shaped, script):
+        if shaped:
+            cfg = random_shape_cfg(seed, SHAPES)
+        else:
+            cfg = random_cfg(seed, SMALL)
+        manager = AnalysisManager()
+        assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
         for step, pick in enumerate(script):
             labels = list(cfg.labels)
             label = labels[pick % len(labels)]
             block = cfg.block(label)
-            if block.instrs and pick % 3 == 0:
+            succs = cfg.succs(label)
+            if pick % 4 == 3 and succs:
+                # Structural: split an outgoing edge, announced coarsely.
+                split = cfg.split_edge(label, succs[0], f"ed{step}")
+                split.append(Assign(f"ed{step}", Var("a")))
+                notify_cfg_mutated(cfg)
+            elif block.instrs and pick % 4 == 0:
                 del block.instrs[0]
+                notify_cfg_edited(cfg, [label])
             else:
                 block.append(
                     Assign(f"ed{step}", BinExpr("+", Var("a"), Var("b")))
                 )
-            state.mark_edited([label])
-            assert state.current(cfg) == cfg_fingerprint(cfg)
+                notify_cfg_edited(cfg, [label])
+            assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
 
 
 class TestManagerCounters:
-    def test_one_full_hash_then_incremental(self):
+    def test_one_hash_per_graph_state(self):
         manager = AnalysisManager()
         cfg = diamond()
         with tracing() as tracer:
@@ -179,45 +161,20 @@ class TestManagerCounters:
             )
             notify_cfg_edited(cfg, ["join"])
             second = manager.fingerprint(cfg)
-        assert second == cfg_fingerprint(cfg) != first
-        assert tracer.counters.get("fingerprint.full", 0) == 1
-        assert tracer.counters.get("fingerprint.incr", 0) == 1
-
-    def test_structural_notify_with_labels_stays_incremental(self):
-        manager = AnalysisManager()
-        cfg = diamond()
-        with tracing() as tracer:
-            manager.fingerprint(cfg)
-            split = cfg.split_edge("left", "join", "landing")
-            notify_cfg_mutated(cfg, labels=["left", split.label])
-            patched = manager.fingerprint(cfg)
-        assert patched == cfg_fingerprint(cfg)
-        assert tracer.counters.get("fingerprint.full", 0) == 1
-        assert tracer.counters.get("fingerprint.incr", 0) == 1
-
-    def test_legacy_knob_drops_instead_of_patching(self):
-        manager = AnalysisManager(incremental_fingerprints=False)
-        cfg = diamond()
-        with tracing() as tracer:
-            manager.fingerprint(cfg)
-            cfg.block("join").append(
-                Assign("q", BinExpr("+", Var("a"), Var("b")))
-            )
-            notify_cfg_edited(cfg, ["join"])
-            refreshed = manager.fingerprint(cfg)
-        assert refreshed == cfg_fingerprint(cfg)
-        assert tracer.counters.get("fingerprint.full", 0) == 2
-        assert tracer.counters.get("fingerprint.incr", 0) == 0
+            assert manager.fingerprint(cfg) == second
+        assert second != first
+        assert _full_hashes(tracer) == 2
+        assert tracer.counters.get("cache.invalidate", 0) == 1
 
     def test_optimize_full_hash_budget(self):
-        # The end-to-end chain (api -> lcse derive -> transform derive
-        # -> cleanup edits): at most one whole-graph hash per item.
+        # Three graph states per item: the source, the LCSE copy (the
+        # graph LCM analyses) and the output.
         manager = AnalysisManager()
         cfg = do_while_invariant()
         with tracing() as tracer:
             outcome = optimize_cfg(cfg, "lcm", manager=manager)
         assert outcome.fingerprint == cfg_fingerprint(outcome.cfg)
-        assert tracer.counters.get("fingerprint.full", 0) <= 2
+        assert _full_hashes(tracer) == 3
 
 
 class TestSpanNoOp:
@@ -229,34 +186,62 @@ class TestSpanNoOp:
             handle.set(extra=2)  # accepted and discarded
 
 
-def _assert_schedulings_agree(cfg):
-    full = run_pipeline(cfg, "lcm", scheduling="full")
-    dirty = run_pipeline(cfg, "lcm", scheduling="dirty")
-    assert pretty_cfg(dirty.cfg) == pretty_cfg(full.cfg)
-    assert cfg_fingerprint(dirty.cfg) == cfg_fingerprint(full.cfg)
-    assert dirty.rewrites == full.rewrites
+# -- golden outputs ---------------------------------------------------------
+
+GOLDEN_PROGRAMS = GeneratorConfig(statements=12, max_depth=3)
+GOLDEN_SHAPES = ShapeConfig(blocks=10, back_edge_probability=0.5)
+GOLDEN_SEEDS = range(50)
+
+#: SHA-256 over every program's ``cfg_to_json(result.cfg)`` and JSON
+#: rewrite tally after ``run_pipeline(cfg, "lcm")``; recorded before
+#: the cleanup fixpoint became one whole-CFG loop.
+PIPELINE_GOLDEN = (
+    "0b07b2c2e688f5b1d98b2979cf176b1043198a0555bea1f41c6c4a6ab7c9fddd"
+)
+#: The same over ``optimize_cfg(cfg, "lcm")``'s output and description.
+OPTIMIZE_GOLDEN = (
+    "e0c9b350c3f591557dc4ddfa440e21f524b3f7ecf4ceadb302250c727d0900ab"
+)
 
 
-class TestDirtySchedulingEqualsFull:
-    def test_on_handwritten_graphs(self):
-        _assert_schedulings_agree(diamond())
-        _assert_schedulings_agree(do_while_invariant())
+def _golden_digest(run) -> str:
+    """Hash ``run(cfg) -> (output CFG, tally)`` over 100 seeded programs:
+    reducible (``random_cfg``) and irreducible (``random_shape_cfg``)."""
+    hasher = hashlib.sha256()
+    for seed in GOLDEN_SEEDS:
+        for cfg in (
+            random_cfg(seed, GOLDEN_PROGRAMS),
+            random_shape_cfg(seed, GOLDEN_SHAPES),
+        ):
+            output, tally = run(cfg)
+            hasher.update(cfg_to_json(output).encode("utf-8"))
+            hasher.update(json.dumps(tally, sort_keys=True).encode("utf-8"))
+    return hasher.hexdigest()
 
-    @quick
-    @given(seeds)
-    def test_on_random_reducible_cfgs(self, seed):
-        _assert_schedulings_agree(random_cfg(seed, SMALL))
 
-    @quick
-    @given(seeds)
-    def test_on_random_irreducible_cfgs(self, seed):
-        _assert_schedulings_agree(random_shape_cfg(seed, SHAPES))
+class TestGoldenOutputs:
+    def test_pipeline_without_manager(self):
+        def run(cfg):
+            result = run_pipeline(cfg, "lcm")
+            return result.cfg, result.rewrites
 
-    @quick
-    @given(seeds)
-    def test_manager_fingerprint_matches_scratch_after_pipeline(self, seed):
-        cfg = random_cfg(seed, SMALL)
+        assert _golden_digest(run) == PIPELINE_GOLDEN
+
+    def test_pipeline_with_one_warm_manager(self):
         manager = AnalysisManager()
-        manager.fingerprint(cfg)
-        result = run_pipeline(cfg, "lcm", manager=manager)
-        assert manager.fingerprint(result.cfg) == cfg_fingerprint(result.cfg)
+
+        def run(cfg):
+            result = run_pipeline(cfg, "lcm", manager=manager)
+            assert manager.fingerprint(result.cfg) == cfg_fingerprint(
+                result.cfg
+            )
+            return result.cfg, result.rewrites
+
+        assert _golden_digest(run) == PIPELINE_GOLDEN
+
+    def test_optimize_with_manager(self):
+        def run(cfg):
+            outcome = optimize_cfg(cfg, "lcm", manager=AnalysisManager())
+            return outcome.cfg, outcome.description
+
+        assert _golden_digest(run) == OPTIMIZE_GOLDEN

@@ -276,6 +276,26 @@ class TestServeProtocolEdges:
         assert record["type"] == "error"
         assert "unknown op" in record["message"]
 
+    def test_unwaitable_timeout_is_an_error_record(self, serve):
+        # Past ~24.8 days Connection.poll overflows: such a budget must
+        # be refused, not dispatched, or the only worker never returns
+        # to the idle queue and every later request hangs.
+        _, host, port = serve(jobs=1)
+        with socket.create_connection((host, port), timeout=30) as sock:
+            handle = sock.makefile("rb")
+            for timeout in (b"Infinity", b"3000000"):
+                sock.sendall(
+                    b'{"op": "optimize", "source": "x = a + b;", '
+                    b'"timeout": ' + timeout + b"}\n"
+                )
+                record = protocol.decode(handle.readline())
+                assert record["type"] == "error"
+                assert "timeout" in record["message"]
+        with ServeClient(host, port, timeout=30) as client:
+            assert client.optimize(SOURCE)["status"] == "ok"
+            stats = client.stats()
+        assert (stats["active"], stats["idle_workers"]) == (0, 1)
+
     def test_call_kind_is_gated(self, serve):
         _, host, port = serve(jobs=1)  # no allow_call
         with ServeClient(host, port, timeout=30) as client:
