@@ -335,6 +335,7 @@ def check_differential_injection(args: List[str]) -> None:
 def check_kill_resilience(args: List[str]) -> None:
     """Hard worker isolation: a C-call hang dies by parent SIGKILL."""
     import multiprocessing
+    import time
 
     from repro.batch import (
         BatchConfig,
@@ -362,6 +363,26 @@ def check_kill_resilience(args: List[str]) -> None:
     # The supervisor must have reaped every worker it ever spawned.
     assert not multiprocessing.active_children(), "orphan workers"
     print("kill-resilience ok:", report.tally, report.supervisor)
+
+    # The cancel path: two C-call hangs and no per-item timeout, so only
+    # the batch deadline ends them.  At cost 0 they run last (LPT), once
+    # every corpus item is done, and must come back skipped.
+    items = items_from_dir(corpus)
+    hung = {"spin-c-1", "spin-c-2"}
+    items += [WorkItem(name, "call", "repro.batch.testing:busy_loop_c")
+              for name in sorted(hung)]
+    deadline = 3.0
+    start = time.monotonic()
+    report = run_batch(items, BatchConfig(jobs=2, deadline_s=deadline))
+    elapsed = time.monotonic() - start
+
+    for item in report.items:
+        expected = "skipped" if item.name in hung else "ok"
+        assert item.status == expected, (item.name, item.status,
+                                         item.message)
+    assert elapsed < deadline + 10.0, f"cancel took {elapsed:.1f}s"
+    assert not multiprocessing.active_children(), "orphan workers"
+    print(f"kill-resilience cancel ok: {report.tally} in {elapsed:.1f}s")
 
 
 def check_serve(args: List[str]) -> None:

@@ -37,7 +37,7 @@ miscompiles as ``divergent`` records.
 
 CLI: ``repro batch DIR --jobs N --timeout S --stream --max-failures N
 --recycle-after N --emit json|table``.  See ``docs/BATCH.md`` for the
-supervisor architecture, the streaming protocol and the report schema,
+worker runtime, the streaming protocol and the report schema,
 and ``docs/CORPUS.md`` for corpus sources and generation.
 """
 
@@ -67,7 +67,7 @@ from repro.batch.report import (
     merge_report_dicts,
     stable_report_json,
 )
-from repro.batch.supervisor import Supervisor, WorkerPool
+from repro.batch.supervisor import WorkerPool
 
 __all__ = [
     "BatchConfig",
@@ -81,7 +81,6 @@ __all__ = [
     "STATUS_OK",
     "STATUS_SKIPPED",
     "STATUS_TIMEOUT",
-    "Supervisor",
     "WorkItem",
     "WorkerPool",
     "collect_report",

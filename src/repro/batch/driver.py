@@ -8,9 +8,10 @@ from in-memory graphs with :func:`items_from_cfgs`) and streams one
 :class:`~repro.batch.report.ItemResult` per item as it completes;
 :func:`run_batch` is a thin collector on top that folds the stream
 into the input-ordered, deterministic
-:class:`~repro.batch.report.BatchReport`.  Work runs on a
-:class:`~repro.batch.supervisor.Supervisor` — long-lived worker
-processes owned over ``multiprocessing`` pipes — which provides:
+:class:`~repro.batch.report.BatchReport`.  With ``jobs >= 2`` work
+runs on a :class:`~repro.batch.supervisor.WorkerPool` — long-lived
+worker processes owned over ``multiprocessing`` pipes — fed by one
+dispatcher thread ("lane") per worker, which provides:
 
 * **fault isolation** — an item that raises anywhere (parse error,
   validation failure, transform bug) produces a structured
@@ -30,8 +31,8 @@ processes owned over ``multiprocessing`` pipes — which provides:
 * **early exit** — ``stop_after_failures`` and ``deadline_s`` cancel
   the remainder of a batch; unfinished items are recorded (and
   streamed) as ``status="skipped"``;
-* **bounded retry** — ``BatchConfig.retries`` re-runs failed items up
-  to N extra times, for transient failures;
+* **bounded retry** — ``BatchConfig.retries`` re-runs a failed item at
+  once, up to N extra times, for transient failures;
 * **warm workers** — each worker process keeps one
   :class:`~repro.obs.manager.AnalysisManager` for its whole lifetime,
   so items with identical content hit the dataflow-solution cache, and
@@ -44,10 +45,10 @@ processes owned over ``multiprocessing`` pipes — which provides:
 * **determinism** — :func:`run_batch` reports in input order
   regardless of completion order, and the optimised IR per program is
   bit-identical whatever ``jobs`` is (workers share no mutable state);
-* **longest-processing-time scheduling** — the supervisor dispatches
-  items in descending predicted-cost order (:attr:`WorkItem.cost`),
-  the classic LPT heuristic.  Scheduling only reorders *execution*;
-  the collected report stays input-ordered.
+* **longest-processing-time scheduling** — the lanes pull items in
+  descending predicted-cost order (:attr:`WorkItem.cost`), the
+  classic LPT heuristic.  Scheduling only reorders *execution*; the
+  collected report stays input-ordered.
 
 Batches scale out two ways: :func:`shard_items` deterministically
 partitions a corpus by a stable hash of item *names* (``repro batch
@@ -58,23 +59,27 @@ that executes each program before and after optimization on seeded
 random inputs (:mod:`repro.batch.differential`), flagging miscompiles
 as ``status="divergent"`` records.
 
-``jobs=1`` runs serially in-process through the *same* item code path
-(no worker processes), which is both the baseline for throughput
-comparisons and the debug mode — breakpoints and pdb work.  Serial
-mode keeps the soft SIGALRM timeout but has no parent to kill a
-C-call hang; hard isolation needs ``jobs >= 2``.
+``jobs=1`` runs serially in-process, in input order, through the
+*same* item code path and the same policy loop (retries, early exit,
+skipped records) — no worker processes and no threads, which makes it
+both the baseline for throughput comparisons and the debug mode:
+SIGALRM, breakpoints and pdb work on the main thread.  Serial mode
+keeps the soft SIGALRM timeout but has no parent to kill a C-call
+hang; hard isolation needs ``jobs >= 2``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
+import queue
 import signal
+import threading
 import time
 import traceback as traceback_module
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.batch.report import (
     STATUS_DIVERGENT,
@@ -85,7 +90,7 @@ from repro.batch.report import (
     BatchReport,
     ItemResult,
 )
-from repro.batch.supervisor import COUNTER_SKIPPED, Supervisor
+from repro.batch.supervisor import COUNTER_SKIPPED, WorkerPool
 from repro.ir.cfg import CFG
 from repro.obs import trace
 from repro.obs.manager import AnalysisManager
@@ -96,7 +101,7 @@ from repro.obs.trace import Tracer, tracing
 CORPUS_SUFFIXES = (".mini", ".json")
 
 #: The longest time budget (per-item timeout, grace, batch deadline)
-#: accepted, in seconds.  The supervisor waits on worker pipes with
+#: accepted, in seconds.  The worker pool waits on worker pipes with
 #: ``Connection.poll``, which overflows past ~24.8 days; a day is far
 #: more than any item needs.
 MAX_TIMEOUT_S = 86_400.0
@@ -104,14 +109,23 @@ MAX_TIMEOUT_S = 86_400.0
 
 def check_seconds(name: str, value: Optional[float]) -> None:
     """Raise ``ValueError`` unless *value* is None or a finite number of
-    seconds no larger than :data:`MAX_TIMEOUT_S`."""
+    seconds from 0 to :data:`MAX_TIMEOUT_S`.  A ``timeout`` must also be
+    above 0: ``setitimer`` reads 0 as "no alarm"."""
+    positive = name == "timeout"
     if value is not None and not (
-        value <= MAX_TIMEOUT_S and math.isfinite(value)
+        (value > 0 if positive else value >= 0) and value <= MAX_TIMEOUT_S
     ):
         raise ValueError(
-            f"{name} must be a finite number of seconds no larger than "
-            f"{MAX_TIMEOUT_S:g}, got {value!r}"
+            f"{name} must be a finite number of seconds "
+            f"{'above 0' if positive else 'at least 0'} and no larger "
+            f"than {MAX_TIMEOUT_S:g}, got {value!r}"
         )
+
+
+def check_count(name: str, value: Optional[int]) -> None:
+    """Raise ``ValueError`` unless *value* is None or at least 1."""
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +152,8 @@ class WorkItem:
         the program on demand, so whole corpora travel as seeds.
 
     *cost* is a relative work prediction (any nonnegative scale) used
-    by the supervisor's LPT scheduling; 0 means unknown, and equal
-    costs keep input order.
+    by the pooled batch's LPT order; 0 means unknown, and equal costs
+    keep input order.
     """
 
     name: str
@@ -226,20 +240,25 @@ class BatchConfig:
     Attributes:
         pass_: the registered optimisation pass to run per program.
         pipeline: run the full standard pass pipeline instead.
-        jobs: worker processes; 1 means serial in-process.
-        timeout: per-item wall-clock budget in seconds (None: none).
-        grace: extra seconds past *timeout* the supervisor waits for
-            the in-worker soft timeout to fire before SIGKILLing the
-            worker — the hard deadline is ``timeout + grace``.
-        retries: extra attempts for items that error or time out.
+        jobs: worker processes; 1 (or less) means serial in-process.
+        timeout: per-item wall-clock budget in seconds, above 0
+            (None: none).
+        grace: extra seconds (at least 0) past *timeout* the worker
+            pool waits for the in-worker soft timeout to fire before
+            SIGKILLing the worker — the hard deadline is
+            ``timeout + grace``.
+        retries: extra attempts for items that error or time out; a
+            failed item is retried at once.
         max_tasks_per_worker: recycle (retire and respawn) a worker
-            after it served this many items, bounding per-process
-            memory growth (None: workers live for the whole batch).
+            after it served this many items, at least 1, bounding
+            per-process memory growth (None: workers live for the
+            whole batch).
         stop_after_failures: cancel the rest of the batch once this
-            many items failed; unfinished items are recorded as
-            ``status="skipped"`` (None: never).
-        deadline_s: whole-batch wall-clock budget; on expiry the
-            remainder is cancelled as ``skipped`` (None: none).
+            many items (at least 1) failed; unfinished items are
+            recorded as ``status="skipped"`` (None: never).
+        deadline_s: whole-batch wall-clock budget in seconds, at least
+            0; on expiry the remainder is cancelled as ``skipped``
+            (None: none).
         cache: whether worker analysis managers memoize (the CLI's
             ``--no-cache`` turns this off).
         store_path: directory of a shared on-disk
@@ -289,6 +308,8 @@ class BatchConfig:
     def __post_init__(self) -> None:
         for name in ("timeout", "grace", "deadline_s"):
             check_seconds(name, getattr(self, name))
+        for name in ("max_tasks_per_worker", "stop_after_failures"):
+            check_count(name, getattr(self, name))
         if self.differential and self.analyze:
             raise ValueError(
                 "differential mode compares optimized execution; it "
@@ -298,8 +319,8 @@ class BatchConfig:
 
 # ---------------------------------------------------------------------------
 # Worker side.  One warm AnalysisManager per process, installed by the
-# supervisor's worker entry point; the serial path calls the
-# initializer itself so jobs=1 exercises the identical item code path.
+# worker pool's entry point; the serial path calls the initializer
+# itself so jobs=1 exercises the identical item code path.
 # ---------------------------------------------------------------------------
 
 _WORKER_MANAGER: Optional[AnalysisManager] = None
@@ -480,57 +501,21 @@ def _run_item(index: int, item: WorkItem, config: BatchConfig) -> ItemResult:
 # ---------------------------------------------------------------------------
 
 
-def _skipped_record(
-    index: int, item: WorkItem, reason: str, stats: Dict[str, int]
-) -> ItemResult:
-    stats[COUNTER_SKIPPED] = stats.get(COUNTER_SKIPPED, 0) + 1
-    trace.count(COUNTER_SKIPPED)
-    return ItemResult(
-        index=index,
-        name=item.name,
-        status=STATUS_SKIPPED,
-        message=f"cancelled: {reason}",
-        attempts=0,
-    )
-
-
-def _iter_serial(
-    items: Sequence[WorkItem], config: BatchConfig, stats: Dict[str, int]
-) -> Iterator[ItemResult]:
-    """The jobs=1 path: in-process, input order, same early-exit
-    policies as the supervisor (but no hard kill — no parent)."""
-    _init_worker(config.cache, config.store_path)
-    deadline = (
-        time.monotonic() + config.deadline_s
-        if config.deadline_s is not None
-        else None
-    )
-    failures = 0
-    stop_reason = None
-    for index, item in enumerate(items):
-        if stop_reason is None and deadline is not None:
-            if time.monotonic() >= deadline:
-                stop_reason = f"batch deadline {config.deadline_s}s exceeded"
-        if stop_reason is not None:
-            yield _skipped_record(index, item, stop_reason, stats)
-            continue
-        record = _run_item(index, item, config)
-        for attempt in range(2, config.retries + 2):
-            if record.ok:
-                break
-            record = _run_item(index, item, config)
-            record.attempts = attempt
-        if not record.ok:
-            failures += 1
-            if (
-                config.stop_after_failures is not None
-                and failures >= config.stop_after_failures
-            ):
-                stop_reason = (
-                    f"stopped after {failures} failed "
-                    f"item{'s' if failures != 1 else ''}"
-                )
-        yield record
+def _lane(pending: Deque[int], done: "queue.SimpleQueue", finish) -> None:
+    """One dispatcher thread of a pooled batch: pull the next index,
+    run it to its final record, hand the record over; repeat until the
+    queue is empty.  An exception (the pool closed under a cancelled
+    batch, or a bug) is handed over in place of a record."""
+    while True:
+        try:
+            index = pending.popleft()
+        except IndexError:
+            return
+        try:
+            done.put(finish(index))
+        except Exception as exc:
+            done.put(exc)
+            return
 
 
 def iter_batch(
@@ -547,6 +532,12 @@ def iter_batch(
     cancel the remainder as ``status="skipped"`` records, which are
     streamed too — the stream is always complete.
 
+    With ``jobs >= 2`` one :class:`~repro.batch.supervisor.WorkerPool`
+    runs the items, fed by ``jobs`` lane threads that pull indices in
+    LPT order; with ``jobs=1`` each item runs inline, in input order.
+    Either way a failed item is retried at once, and this one loop
+    applies the early-exit policies.
+
     *stats*, when given, is filled with supervision counters
     (``batch.worker.respawn``, ``batch.item.killed``, …) as the run
     progresses; :func:`run_batch` surfaces them as
@@ -555,14 +546,101 @@ def iter_batch(
     """
     config = config if config is not None else BatchConfig()
     stats = stats if stats is not None else {}
-    jobs = max(1, config.jobs)
-    if jobs == 1 or len(items) <= 1:
-        yield from _iter_serial(items, config, stats)
-    else:
-        supervisor = Supervisor(
-            list(items), config, min(jobs, len(items)), stats
+    jobs = min(max(1, config.jobs), len(items))
+    order: Sequence[int] = range(len(items))
+    if jobs > 1:
+        # LPT: predicted-heavy items first (ties keep input order).
+        order = sorted(order, key=lambda index: (-items[index].cost, index))
+    pending: Deque[int] = deque(order)
+    attempts: Dict[int, int] = {}
+    deadline = (
+        time.monotonic() + config.deadline_s
+        if config.deadline_s is not None
+        else None
+    )
+    pool: Optional[WorkerPool] = None
+
+    def finish(index: int) -> ItemResult:
+        """Run one item until it succeeds or its retry budget is spent."""
+        while True:
+            if pool is None:
+                record = _run_item(index, items[index], config)
+            else:
+                record = pool.run(items[index], index=index)
+            attempts[index] = attempts.get(index, 0) + 1
+            record.attempts = attempts[index]
+            if record.ok or record.attempts > config.retries:
+                return record
+
+    done: "queue.SimpleQueue" = queue.SimpleQueue()
+    lanes: List[threading.Thread] = []
+    unfinished = set(range(len(items)))
+    failures = 0
+    stop_reason = ""
+    try:
+        if jobs > 1:
+            pool = WorkerPool(config, jobs, stats)
+            for n in range(jobs):
+                lane = threading.Thread(
+                    target=_lane,
+                    args=(pending, done, finish),
+                    name=f"repro-batch-lane-{n}",
+                    daemon=True,
+                )
+                lane.start()
+                lanes.append(lane)
+        else:
+            _init_worker(config.cache, config.store_path)
+        while unfinished:
+            wait = None
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    stop_reason = (
+                        f"batch deadline {config.deadline_s}s exceeded"
+                    )
+                    break
+            if pool is None:
+                record = finish(pending.popleft())
+            else:
+                try:
+                    record = done.get(timeout=wait)
+                except queue.Empty:
+                    continue  # the batch deadline passed
+                if isinstance(record, Exception):
+                    raise record
+            unfinished.discard(record.index)
+            yield record
+            if not record.ok:
+                failures += 1
+                if (
+                    config.stop_after_failures is not None
+                    and failures >= config.stop_after_failures
+                ):
+                    stop_reason = (
+                        f"stopped after {failures} failed "
+                        f"item{'s' if failures != 1 else ''}"
+                    )
+                    break
+    finally:
+        # Lanes take nothing new; close() SIGKILLs in-flight items,
+        # which releases their lanes.
+        pending.clear()
+        if pool is not None:
+            pool.close()
+        for lane in lanes:
+            lane.join()
+    # Only an early exit leaves items unfinished.
+    for index in sorted(unfinished):
+        stats[COUNTER_SKIPPED] = stats.get(COUNTER_SKIPPED, 0) + 1
+        trace.count(COUNTER_SKIPPED)
+        yield ItemResult(
+            index=index,
+            name=items[index].name,
+            status=STATUS_SKIPPED,
+            message=f"cancelled: {stop_reason}",
+            attempts=attempts.get(index, 0),
         )
-        yield from supervisor.run()
 
 
 def collect_report(

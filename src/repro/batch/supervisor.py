@@ -1,8 +1,12 @@
-"""The worker supervisor: hard isolation for the batch driver.
+"""The worker runtime: owned worker processes with hard isolation.
 
-The pooled driver used to lean on ``ProcessPoolExecutor`` plus
-in-worker SIGALRM timeouts.  That combination has two structural
-holes:
+Every multi-process front-end runs on one class, :class:`WorkerPool`.
+The batch driver (:func:`repro.batch.driver.iter_batch` with
+``jobs >= 2``) keeps one dispatcher thread per worker on it; the
+``repro serve`` daemon keeps one per in-flight request.
+
+A ``ProcessPoolExecutor`` plus in-worker SIGALRM timeouts, the first
+design, has two structural holes:
 
 * SIGALRM only fires between bytecodes — an item stuck inside a
   long-running C call (a pathological regex, a huge builtin reduction)
@@ -11,51 +15,38 @@ holes:
   pool, so *every* in-flight item came back as an error record even
   though only one item was responsible.
 
-The :class:`Supervisor` closes both by owning its workers directly,
-pebble-style.  Each worker is a long-lived ``multiprocessing`` process
-connected over a duplex pipe; the **parent** is the enforcement point:
+The pool closes both by owning its workers directly, pebble-style.
+Each worker is a long-lived ``multiprocessing`` process connected over
+a duplex pipe and runs one item at a time; the **parent** is the
+enforcement point:
 
-* **deadlines** — while an item runs, the supervisor tracks a
-  wall-clock deadline of ``timeout + grace``.  The in-worker SIGALRM
-  remains the first line (it interrupts Python-level loops and keeps
-  the worker warm); if it cannot fire, the supervisor SIGKILLs the
-  whole worker, records a clean ``timeout`` item and respawns a fresh
+* **deadlines** — the in-worker SIGALRM is the first line (it
+  interrupts Python-level loops and keeps the worker warm); if no
+  answer arrives by ``timeout + grace``, the pool SIGKILLs the whole
+  worker, returns a clean ``timeout`` record and respawns a fresh
   process — even a C-call hang costs one worker, never the batch;
 * **crash attribution** — exactly one item runs per worker at a time,
   so a dead pipe is attributed to that single item (``worker lost:``
-  error record); everything else queued merely reschedules onto the
-  respawned worker;
+  error record) and the worker is respawned;
 * **recycling** — after ``max_tasks_per_worker`` items a worker is
-  retired and (when work remains) replaced, bounding memory growth of
-  long corpora;
-* **streaming** — results are handed out in *completion* order as they
-  arrive, which is what :func:`repro.batch.driver.iter_batch` yields;
-  every record carries its ``index`` for reassembly;
-* **early exit** — ``stop_after_failures`` and ``deadline_s`` cancel
-  the remainder of the batch: in-flight workers are killed and every
-  unfinished item is recorded as ``status="skipped"``.
+  retired and replaced, bounding memory growth of long corpora;
+* **shutdown** — :meth:`WorkerPool.close` stops idle workers and
+  SIGKILLs busy ones, which releases every thread blocked in
+  :meth:`WorkerPool.run`.
 
-Supervisor events are observable twice: in the ``stats`` mapping the
-driver folds into :attr:`repro.batch.report.BatchReport.supervisor`,
-and as trace counters (``batch.worker.respawn``, ``batch.item.killed``,
-``batch.worker.recycled``, ``batch.item.skipped``) on the active
-:mod:`repro.obs.trace` tracer.
+Supervision events are observable twice: in the ``stats`` mapping the
+batch driver folds into :attr:`repro.batch.report.BatchReport.supervisor`
+(and the daemon reports under ``stats``), and as trace counters
+(``batch.worker.respawn``, ``batch.item.killed``,
+``batch.worker.recycled``; the batch driver adds
+``batch.item.skipped``) on the active :mod:`repro.obs.trace` tracer.
 
 The protocol over each pipe is tiny: the parent sends
 ``("run", index, item, config)`` or ``("stop",)``; the worker answers
 one pickled :class:`~repro.batch.report.ItemResult` per ``run``.
-Workers are daemonic, so even an abandoned supervisor cannot leak
-processes past interpreter exit; orderly shutdown happens in a
-``finally`` and is exercised by tests and the CI kill-resilience smoke.
-
-Two front-ends drive the same worker machinery:
-
-* :class:`Supervisor` — batch mode: a fixed item list, LPT scheduling,
-  completion-order streaming, early-exit policies;
-* :class:`WorkerPool` — request mode: ad-hoc items dispatched one at a
-  time onto warm workers (what the ``repro serve`` daemon
-  multiplexes), with the identical two-tier deadline and
-  kill/respawn/recycle behaviour per request.
+Workers are daemonic, so even an abandoned pool cannot leak processes
+past interpreter exit; orderly shutdown is exercised by tests and the
+CI kill-resilience smoke.
 """
 
 from __future__ import annotations
@@ -63,24 +54,16 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import threading
-import time
-from collections import deque
-from multiprocessing.connection import wait as _connection_wait
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.batch.report import (
-    STATUS_ERROR,
-    STATUS_SKIPPED,
-    STATUS_TIMEOUT,
-    ItemResult,
-)
+from repro.batch.report import STATUS_ERROR, STATUS_TIMEOUT, ItemResult
 from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.batch.driver import BatchConfig, WorkItem
 
 #: Seconds an idle worker gets to honour a graceful ``("stop",)``
-#: before the supervisor falls back to SIGKILL.
+#: before the pool falls back to SIGKILL.
 _STOP_JOIN_S = 2.0
 
 #: Trace counter names (also the keys of ``BatchReport.supervisor``).
@@ -158,7 +141,7 @@ def _worker_main(conn, cache_enabled: bool, store_path: Optional[str]) -> None:
 class _Worker:
     """Parent-side handle of one long-lived worker process."""
 
-    __slots__ = ("proc", "conn", "tasks_done", "index", "deadline")
+    __slots__ = ("proc", "conn", "tasks_done", "index")
 
     def __init__(self, ctx, config: "BatchConfig") -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -173,8 +156,6 @@ class _Worker:
         self.tasks_done = 0
         #: Index of the in-flight item (None when idle).
         self.index: Optional[int] = None
-        #: Hard wall-clock deadline of the in-flight item (monotonic).
-        self.deadline: Optional[float] = None
 
     @property
     def busy(self) -> bool:
@@ -184,15 +165,9 @@ class _Worker:
                config: "BatchConfig") -> None:
         self.conn.send(("run", index, item, config))
         self.index = index
-        self.deadline = (
-            time.monotonic() + config.timeout + config.grace
-            if config.timeout is not None
-            else None
-        )
 
     def clear(self) -> None:
         self.index = None
-        self.deadline = None
         self.tasks_done += 1
 
     def _close_conn(self) -> None:
@@ -221,225 +196,24 @@ class _Worker:
         self._close_conn()
 
 
-class Supervisor:
-    """Drives one batch over owned worker processes, streaming results.
-
-    Single-threaded: :meth:`run` is a generator that multiplexes every
-    worker pipe with :func:`multiprocessing.connection.wait`, enforcing
-    per-item deadlines and the batch-level early-exit policies between
-    wakeups.  ``stats`` (a plain counter mapping, shared with the
-    caller) accumulates supervision events.
-    """
-
-    def __init__(
-        self,
-        items: "List[WorkItem]",
-        config: "BatchConfig",
-        jobs: int,
-        stats: Dict[str, int],
-    ) -> None:
-        self.items = items
-        self.config = config
-        self.jobs = jobs
-        self.stats = stats
-        self.ctx = _mp_context()
-        self.attempts: Dict[int, int] = {}
-
-    # -- bookkeeping ----------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        self.stats[name] = self.stats.get(name, 0) + n
-        trace.count(name, n)
-
-    def _spawn(self) -> _Worker:
-        return _Worker(self.ctx, self.config)
-
-    def _respawn(self, workers: List[_Worker], dead: _Worker) -> None:
-        workers[workers.index(dead)] = self._spawn()
-        self._count(COUNTER_RESPAWN)
-
-    # -- records the parent manufactures --------------------------------
-
-    def _timeout_record(self, index: int, worker: _Worker) -> ItemResult:
-        return _timeout_result(
-            index, self.items[index].name, self.config, worker.proc.pid
-        )
-
-    def _lost_record(self, index: int, worker: _Worker) -> ItemResult:
-        return _lost_result(index, self.items[index].name, worker)
-
-    def _skipped_record(self, index: int, reason: str) -> ItemResult:
-        self._count(COUNTER_SKIPPED)
-        return ItemResult(
-            index=index,
-            name=self.items[index].name,
-            status=STATUS_SKIPPED,
-            message=f"cancelled: {reason}",
-            attempts=self.attempts.get(index, 0),
-        )
-
-    # -- the loop --------------------------------------------------------
-
-    def run(self) -> Iterator[ItemResult]:
-        """Yield one final record per item, in completion order."""
-        config = self.config
-        # LPT: predicted-heavy items first (ties keep input order).
-        pending: Deque[int] = deque(
-            sorted(
-                range(len(self.items)),
-                key=lambda index: (-self.items[index].cost, index),
-            )
-        )
-        batch_deadline = (
-            time.monotonic() + config.deadline_s
-            if config.deadline_s is not None
-            else None
-        )
-        workers = [self._spawn() for _ in range(self.jobs)]
-        completed = 0
-        failures = 0
-        stop_reason: Optional[str] = None
-        try:
-            while completed < len(self.items) and stop_reason is None:
-                for worker in workers:
-                    if not worker.busy and pending:
-                        index = pending.popleft()
-                        self.attempts[index] = self.attempts.get(index, 0) + 1
-                        worker.assign(index, self.items[index], config)
-                busy = [worker for worker in workers if worker.busy]
-                if not busy:  # pragma: no cover - defensive
-                    break
-                ready = set(
-                    _connection_wait(
-                        [worker.conn for worker in busy],
-                        self._wait_timeout(busy, batch_deadline),
-                    )
-                )
-                now = time.monotonic()
-                for worker in busy:
-                    record = None
-                    survived = True
-                    if worker.conn in ready:
-                        try:
-                            record = worker.conn.recv()
-                        except (EOFError, OSError):
-                            # The pipe died mid-item: exactly one item
-                            # was running here, so the crash is its and
-                            # its alone.
-                            record = self._lost_record(worker.index, worker)
-                            survived = False
-                    elif worker.deadline is not None and now >= worker.deadline:
-                        # SIGALRM never fired — the worker is stuck
-                        # somewhere uninterruptible.  Kill the process.
-                        worker.kill()
-                        record = self._timeout_record(worker.index, worker)
-                        self._count(COUNTER_KILLED)
-                        survived = False
-                    if record is None:
-                        continue
-                    index = worker.index
-                    worker.clear()
-                    if not survived:
-                        self._respawn(workers, worker)
-                    record.attempts = self.attempts[index]
-                    if not record.ok and self.attempts[index] <= config.retries:
-                        pending.append(index)
-                        continue
-                    completed += 1
-                    if not record.ok:
-                        failures += 1
-                    yield record
-                    if (
-                        config.stop_after_failures is not None
-                        and failures >= config.stop_after_failures
-                    ):
-                        stop_reason = (
-                            f"stopped after {failures} failed "
-                            f"item{'s' if failures != 1 else ''}"
-                        )
-                        break
-                    if survived and self._should_recycle(worker):
-                        self._recycle(workers, worker)
-                if (
-                    stop_reason is None
-                    and batch_deadline is not None
-                    and time.monotonic() >= batch_deadline
-                ):
-                    stop_reason = f"batch deadline {config.deadline_s}s exceeded"
-            if stop_reason is not None:
-                # Cancel everything unfinished: kill in-flight workers,
-                # drain the queue, record all of it as skipped.
-                unfinished = sorted(
-                    [worker.index for worker in workers if worker.busy]
-                    + list(pending)
-                )
-                for worker in workers:
-                    if worker.busy:
-                        worker.kill()
-                for index in unfinished:
-                    yield self._skipped_record(index, stop_reason)
-        finally:
-            self._shutdown(workers)
-
-    def _wait_timeout(
-        self, busy: List[_Worker], batch_deadline: Optional[float]
-    ) -> Optional[float]:
-        deadlines = [
-            worker.deadline for worker in busy if worker.deadline is not None
-        ]
-        if batch_deadline is not None:
-            deadlines.append(batch_deadline)
-        if not deadlines:
-            return None  # block until a result arrives
-        return max(0.0, min(deadlines) - time.monotonic())
-
-    def _should_recycle(self, worker: _Worker) -> bool:
-        return (
-            self.config.max_tasks_per_worker is not None
-            and worker.tasks_done >= self.config.max_tasks_per_worker
-        )
-
-    def _recycle(self, workers: List[_Worker], worker: _Worker) -> None:
-        """Retire a worker that served its quota and replace it with a
-        fresh process (retries may still route work to its slot)."""
-        worker.stop()
-        self._count(COUNTER_RECYCLED)
-        self._respawn(workers, worker)
-
-    def _shutdown(self, workers: List[_Worker]) -> None:
-        for worker in workers:
-            if worker.proc.is_alive() and worker.busy:
-                worker.kill()  # still running an item: no graceful exit
-            elif worker.proc.is_alive():
-                worker.stop()
-            else:
-                worker.proc.join()
-                try:
-                    worker.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-
 class WorkerPool:
-    """Request-level dispatch: ad-hoc items onto warm, owned workers.
+    """Items dispatched one at a time onto warm, owned workers.
 
-    Where :class:`Supervisor` drives one fixed batch to completion,
-    the pool serves *requests*: :meth:`run` blocks until an idle worker
-    is free, dispatches exactly one item, enforces the same two-tier
-    deadline (in-worker SIGALRM soft timeout from the per-request
-    config, parent-side SIGKILL at ``timeout + grace``) and hands back
-    the :class:`~repro.batch.report.ItemResult` — a clean ``timeout``
-    or ``worker lost`` record when the worker had to die, with a fresh
-    process respawned into the pool either way.  This is what the
-    ``repro serve`` daemon multiplexes its connections onto.
+    :meth:`run` blocks until an idle worker is free, dispatches exactly
+    one item, enforces the two-tier deadline (in-worker SIGALRM soft
+    timeout from the item's config, parent-side SIGKILL at
+    ``timeout + grace``) and hands back the
+    :class:`~repro.batch.report.ItemResult` — a clean ``timeout`` or
+    ``worker lost`` record when the worker had to die, with a fresh
+    process respawned into the pool either way.
 
-    Thread-safe: many threads may :meth:`run` concurrently (the daemon
-    dedicates one dispatcher thread per in-flight request); each worker
-    serves one item at a time.  ``stats`` accumulates the same
-    supervision counters the batch supervisor emits
+    Thread-safe: many threads may :meth:`run` concurrently (the batch
+    driver runs one lane per worker, the daemon one dispatcher thread
+    per in-flight request); each worker serves one item at a time.
+    ``stats`` accumulates the supervision counters
     (``batch.worker.respawn`` / ``batch.item.killed`` /
     ``batch.worker.recycled``), and ``config.max_tasks_per_worker``
-    recycles long-lived workers exactly as in batch mode.
+    recycles long-lived workers.
     """
 
     def __init__(
@@ -462,9 +236,11 @@ class WorkerPool:
     # -- bookkeeping ----------------------------------------------------
 
     def _count(self, name: str, n: int = 1) -> None:
+        # Under the lock: Tracer.count is a read-modify-write, and many
+        # dispatcher threads count at once.
         with self._lock:
             self.stats[name] = self.stats.get(name, 0) + n
-        trace.count(name, n)
+            trace.count(name, n)
 
     def _spawn(self) -> _Worker:
         with self._lock:

@@ -53,7 +53,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.batch.driver import BatchConfig, WorkItem, check_seconds
+from repro.batch.driver import (
+    BatchConfig,
+    WorkItem,
+    check_count,
+    check_seconds,
+)
 from repro.batch.supervisor import WorkerPool
 from repro.obs.store import JSONRecord, SolutionStore
 from repro.obs.trace import Tracer, snapshot
@@ -83,12 +88,13 @@ class ServeConfig:
             exposing it).
         port: bind port; 0 picks a free one (the chosen port is in the
             readiness record and :attr:`ReproServer.port`).
-        jobs: pool worker processes serving work requests.
-        timeout: default per-request wall-clock budget in seconds
-            (None: unlimited); a request's own ``timeout`` field
-            overrides it.
-        grace: extra seconds past the budget before the pool SIGKILLs
-            a stuck worker (the two-tier deadline of batch mode).
+        jobs: pool worker processes serving work requests, at least 1.
+        timeout: default per-request wall-clock budget in seconds,
+            above 0 (None: unlimited); a request's own ``timeout``
+            field overrides it.
+        grace: extra seconds (at least 0) past the budget before the
+            pool SIGKILLs a stuck worker (the two-tier deadline of
+            batch mode).
         queue_limit: work requests allowed to wait for a worker beyond
             the ``jobs`` already running; past ``jobs + queue_limit``
             in flight, new work is answered with ``rejected``.
@@ -101,7 +107,8 @@ class ServeConfig:
             daemon restarts (None: memory only).
         cache: whether worker analysis managers memoize.
         max_tasks_per_worker: recycle pool workers after this many
-            requests (None: workers live as long as the daemon).
+            requests, at least 1 (None: workers live as long as the
+            daemon).
         allow_call: honour requests with ``kind="call"`` (arbitrary
             ``module:function`` loaders — fault injection and tests);
             off by default, and such requests are never cached.
@@ -122,6 +129,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         check_seconds("timeout", self.timeout)
         check_seconds("grace", self.grace)
+        check_count("jobs", self.jobs)
+        check_count("max_tasks_per_worker", self.max_tasks_per_worker)
 
 
 class ReproServer:

@@ -6,6 +6,7 @@ worker (the pool forks, so ``tests.test_batch`` is already imported
 there) and deliberately crash, hang or flake.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from repro.interp.machine import run
 from repro.interp.random_inputs import random_envs
 from repro.ir.serialize import cfg_from_json
 from repro.lang import compile_program
+from repro.service import ServeConfig
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 MAX_STEPS = 2_000_000
@@ -267,9 +269,12 @@ class TestParallel:
 
 
 class TestConfig:
-    # The supervisor waits on worker pipes with Connection.poll, which
-    # overflows past ~24.8 days: such budgets must be refused up front.
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 3e6])
+    # The worker pool waits on worker pipes with Connection.poll, which
+    # overflows past ~24.8 days, and a negative budget breaks setitimer
+    # or kills every item at once: such budgets must be refused up front.
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("nan"), 3e6, -1.0]
+    )
     @pytest.mark.parametrize("field", ["timeout", "grace", "deadline_s"])
     def test_unwaitable_time_budgets_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -278,6 +283,38 @@ class TestConfig:
     def test_largest_budget_accepted(self):
         config = BatchConfig(jobs=2, timeout=MAX_TIMEOUT_S, deadline_s=0.0)
         assert config.timeout == MAX_TIMEOUT_S
+
+    # Zero is refused for a timeout only: setitimer reads it as "off".
+    @pytest.mark.parametrize("config_cls", [BatchConfig, ServeConfig])
+    def test_zero_timeout_rejected(self, config_cls):
+        with pytest.raises(ValueError, match="timeout must be a finite"):
+            config_cls(jobs=2, timeout=0.0)
+
+    @pytest.mark.parametrize("field", ["timeout", "grace"])
+    def test_negative_serve_budgets_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            ServeConfig(**{field: -1.0})
+
+    # A count of 0 has no meaning here: refuse it rather than read it
+    # as 1, as "never" or as "after the first record".
+    @pytest.mark.parametrize("field", [
+        "stop_after_failures", "max_tasks_per_worker",
+    ])
+    def test_zero_batch_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            BatchConfig(jobs=2, **{field: 0})
+
+    @pytest.mark.parametrize("field", ["jobs", "max_tasks_per_worker"])
+    def test_zero_serve_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            ServeConfig(**{field: 0})
+
+    def test_zero_jobs_still_means_serial(self):
+        items = [_call_item("one", "_ok_program"),
+                 _call_item("two", "_ok_program")]
+        report = run_batch(items, BatchConfig(jobs=0))
+        assert report.ok and report.jobs == 1
+        assert {item.pid for item in report.items} == {os.getpid()}
 
 
 # -- differential property: optimization preserves semantics ----------------

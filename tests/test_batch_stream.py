@@ -7,8 +7,12 @@ also used by the CI kill-resilience smoke) and from
 """
 
 import multiprocessing
+import sys
+import threading
 import time
 from pathlib import Path
+
+import pytest
 
 from tests.helpers import diamond
 
@@ -94,6 +98,95 @@ class TestStreaming:
         next(iterator)
         iterator.close()  # consumer walks away mid-batch
         assert _no_worker_children()
+
+
+# -- the one runtime: lanes over one worker pool ----------------------------
+
+def _completed_batch():
+    assert run_batch(_ok_items(4), BatchConfig(jobs=2)).ok
+
+
+def _early_exit():
+    items = [_call_item("boom", "tests.test_batch:_crash", cost=100.0)]
+    items += [_call_item(f"ok{i}", "tests.test_batch:_ok_program")
+              for i in range(4)]
+    report = run_batch(items, BatchConfig(jobs=2, stop_after_failures=1))
+    assert report.items[0].status == "error"
+
+
+def _abandoned_stream():
+    iterator = iter_batch(_ok_items(8), BatchConfig(jobs=2))
+    next(iterator)
+    iterator.close()
+
+
+class TestOneRuntime:
+    @pytest.mark.parametrize(
+        "scenario", [_completed_batch, _early_exit, _abandoned_stream],
+        ids=["completed", "early-exit", "abandoned"],
+    )
+    def test_no_lane_or_worker_outlives_the_batch(self, scenario):
+        before = set(threading.enumerate())
+        scenario()
+        # Lanes are joined before the batch returns: no polling here.
+        assert set(threading.enumerate()) <= before
+        assert _no_worker_children()
+
+    def test_abandoning_mid_c_hang_releases_the_lane(self):
+        # No per-item timeout, so the lane running the C-call hang
+        # blocks in conn.poll with no deadline; only the pool's close()
+        # (SIGKILL of the busy worker) can release it.
+        items = [
+            WorkItem("spin-c", "call", "repro.batch.testing:busy_loop_c",
+                     cost=100.0),
+            _call_item("fine", "tests.test_batch:_ok_program"),
+        ]
+        before = set(threading.enumerate())
+        iterator = iter_batch(items, BatchConfig(jobs=2))
+        assert next(iterator).name == "fine"
+        time.sleep(0.2)  # spin-c is surely in flight by now
+        start = time.monotonic()
+        iterator.close()
+        assert time.monotonic() - start < 5.0
+        assert set(threading.enumerate()) <= before
+        assert _no_worker_children()
+
+    def test_counters_survive_concurrent_lanes(self):
+        # More lanes than cores and a tiny switch interval; recycling
+        # after every item makes every lane count twice per item, so a
+        # lost update in a shared counter shows as a shortfall.
+        items = _ok_items(16)
+        tracer = Tracer()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = time.monotonic()
+        try:
+            with tracing(tracer):
+                report = run_batch(
+                    items, BatchConfig(jobs=4, max_tasks_per_worker=1)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 60.0
+        assert report.ok
+        for name in ("batch.worker.recycled", "batch.worker.respawn"):
+            assert report.supervisor[name] == len(items)
+            assert tracer.counters[name] == len(items)
+        assert _no_worker_children()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_budget_is_bounded(self, jobs):
+        # The retry step is shared by both modes; two items so that
+        # jobs=2 really runs pooled (one item always runs inline).
+        items = [
+            _call_item("bad", "tests.test_batch:_crash"),
+            _call_item("fine", "tests.test_batch:_ok_program"),
+        ]
+        report = run_batch(items, BatchConfig(jobs=jobs, retries=2))
+        bad, fine = report.items
+        assert bad.status == "error"
+        assert bad.attempts == 3
+        assert fine.status == "ok" and fine.attempts == 1
 
 
 # -- early exit --------------------------------------------------------------

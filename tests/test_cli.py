@@ -260,6 +260,20 @@ class TestBatch:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-failures", "0"], "stop_after_failures must be at least 1"),
+        (["--timeout", "-1"], "timeout must be a finite number"),
+        (["--recycle-after", "0"], "max_tasks_per_worker must be at least 1"),
+    ], ids=["max-failures-0", "timeout-negative", "recycle-after-0"])
+    def test_out_of_range_flag_is_cli_error(self, corpus, capsys, flags,
+                                            message):
+        code, text = invoke("batch", str(corpus), "--jobs", "2", *flags)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
     def test_stream_emits_ndjson_then_report(self, corpus):
         code, text = invoke("batch", str(corpus), "--jobs", "2",
                             "--stream", "--emit", "json")
@@ -600,6 +614,20 @@ class TestServeCommand:
         assert "error: timeout must be a finite number" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--timeout", "-1"], "timeout must be a finite number"),
+        (["--jobs", "0", "--queue-limit", "0"], "jobs must be at least 1"),
+        (["--recycle-after", "0"], "max_tasks_per_worker must be at least 1"),
+    ], ids=["timeout-negative", "jobs-0", "recycle-after-0"])
+    def test_out_of_range_flag_is_cli_error(self, capsys, flags, message):
+        # Refused before the daemon binds a socket or spawns a worker.
+        code, text = invoke("serve", *flags)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
 
     def test_serve_end_to_end_over_the_cli(self):
         import threading
