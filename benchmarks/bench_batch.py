@@ -11,7 +11,9 @@ counts.  Two things are checked, matching the driver's contract:
 
 The wall-time rows (items/s, speedup over ``jobs=1``) are recorded in
 the end-of-run report tables, and the ``jobs``-max batch report is
-persisted as ``BENCH_BATCH.json`` next to ``BENCH_TRACE.json``.
+persisted as ``BENCH_BATCH.json`` in the invocation directory (the
+session trace, ``BENCH_TRACE.json``, lands next to it but is not
+committed).
 
 A second benchmark measures the persistent store (docs/CACHING.md):
 a cold run populating a fresh ``--cache-dir`` vs. a warm run over the
@@ -49,11 +51,13 @@ MAX_LIVENESS_SOLVES_PER_ITEM = 0.0
 # Whole-graph fingerprint hashes per item.  The optimize path hashes
 # three graph states (the source, the LCSE copy LCM analyses, the
 # output); the pipeline hashes each state the cleanup loop looks up.
-# Both budgets are the hash counts of the earlier per-block incremental
-# digests over this corpus (180 and 273), so hashing whole graphs never
-# hashes more often than patching did.
+# The optimize budget is the hash count of the earlier per-block
+# incremental digests over this corpus (180).  The pipeline budget is
+# the count measured once DCE stopped looking its liveness up through
+# the manager (239, down from 273): 239 / 60 items, rounded up.
+# benchmarks/ci_checks.py reads both constants from here.
 MAX_OPTIMIZE_HASHES_PER_ITEM = 3.0
-MAX_PIPELINE_HASHES_PER_ITEM = 4.55
+MAX_PIPELINE_HASHES_PER_ITEM = 4.0
 
 # Serial walls over this exact 60-item corpus measured at commit
 # 4c3a37c (before the transform-side rewrites): the before side of the
@@ -150,8 +154,6 @@ def test_batch_throughput(benchmark):
     payload["liveness"] = {
         "full_solves": liveness_solves(final),
         "solves_per_item": liveness_solves(final) / len(final.items),
-        "incr_updates": counters.get("dataflow.incr.update", 0),
-        "demand_solves": counters.get("dataflow.query.demand", 0),
         "temp_solves": counters.get("transform.temp_solve", 0),
     }
     _merge_batch_report(payload)

@@ -9,7 +9,8 @@ The whole session additionally runs under an installed
 :class:`repro.obs.trace.Tracer`, and the collected trace (per-analysis
 wall time, sweep counts, bit-vector op tallies) is persisted as
 ``BENCH_TRACE.json`` in the invocation directory — CI asserts that the
-file exists and is valid JSON.
+file exists and is valid JSON.  The file is not committed (the root
+``.gitignore`` lists it), so that check sees this session's trace.
 """
 
 import os

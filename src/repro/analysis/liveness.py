@@ -61,9 +61,9 @@ def compute_liveness(cfg: CFG, live_at_exit=(), plan=None) -> LivenessResult:
     *live_at_exit* names variables considered observable after the
     program ends (live at the exit block).  The default — nothing live
     at exit — is the classic compiler-internal view; passes that must
-    preserve the final environment (e.g. whole-program dead code
-    elimination under this library's observable-state semantics) pass
-    the observable set instead.
+    preserve the final environment (e.g. assignment sinking under this
+    library's observable-state semantics) pass the observable set
+    instead.
 
     The transfer is the standard gen/kill shape (``USE`` generates,
     ``DEF`` kills), so the solve lowers to the dense backend; pass a
@@ -134,9 +134,6 @@ def liveness_of(cfg: CFG, live_at_exit=(), manager=None) -> LivenessResult:
     fingerprint + :func:`liveness_key` (memory → disk → solve) and
     shares the manager's dense plan with every other analysis of the
     same graph; without one, it is a plain :func:`compute_liveness`.
-    Callers that query repeatedly between *edits* should use
-    ``manager.liveness(cfg, live_at_exit)`` — the incremental engine —
-    instead of re-fetching full results.
     """
     exit_names = tuple(sorted(set(live_at_exit)))
     if manager is None:

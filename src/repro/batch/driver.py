@@ -533,8 +533,10 @@ def iter_batch(
     streamed too — the stream is always complete.
 
     With ``jobs >= 2`` one :class:`~repro.batch.supervisor.WorkerPool`
-    runs the items, fed by ``jobs`` lane threads that pull indices in
-    LPT order; with ``jobs=1`` each item runs inline, in input order.
+    of ``min(jobs, len(items))`` workers runs the items — a one-item
+    batch too, so its item still gets the hard kill — fed by one lane
+    thread per worker pulling indices in LPT order; with ``jobs=1`` each
+    item runs inline, in input order.
     Either way a failed item is retried at once, and this one loop
     applies the early-exit policies.
 
@@ -546,9 +548,9 @@ def iter_batch(
     """
     config = config if config is not None else BatchConfig()
     stats = stats if stats is not None else {}
-    jobs = min(max(1, config.jobs), len(items))
+    pooled = config.jobs > 1 and len(items) > 0
     order: Sequence[int] = range(len(items))
-    if jobs > 1:
+    if pooled:
         # LPT: predicted-heavy items first (ties keep input order).
         order = sorted(order, key=lambda index: (-items[index].cost, index))
     pending: Deque[int] = deque(order)
@@ -578,7 +580,8 @@ def iter_batch(
     failures = 0
     stop_reason = ""
     try:
-        if jobs > 1:
+        if pooled:
+            jobs = min(config.jobs, len(items))
             pool = WorkerPool(config, jobs, stats)
             for n in range(jobs):
                 lane = threading.Thread(

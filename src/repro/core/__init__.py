@@ -22,11 +22,7 @@ from repro.core.placement import Placement, PlacementError
 from repro.core.lcm import LCMAnalysis, analyze_lcm, lcm_placements, bcm_placements
 from repro.core.krs import KRSAnalysis, analyze_krs, krs_placements
 from repro.core.nodegraph import NodeGraph, expand_to_nodes
-from repro.core.transform import (
-    TransformResult,
-    apply_placements,
-    eliminate_dead_code,
-)
+from repro.core.transform import TransformResult, apply_placements
 from repro.core.pipeline import (
     OptimizeConfig,
     OptimizeContext,
@@ -61,7 +57,6 @@ __all__ = [
     "available_strategies",
     "bcm_placements",
     "check_safety_and_optimality",
-    "eliminate_dead_code",
     "enumerate_traces",
     "expand_to_nodes",
     "get_pass",

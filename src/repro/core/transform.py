@@ -41,12 +41,10 @@ from typing import (
 
 from repro.analysis.liveness import LivenessResult
 from repro.core.placement import Placement, PlacementError, upward_exposed_index
-from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFG, Edge
 from repro.ir.expr import Expr, Var
 from repro.ir.instr import Assign
 from repro.obs import trace
-from repro.obs.manager import AnalysisManager, notify_cfg_edited
 
 
 class TempLiveness:
@@ -444,49 +442,3 @@ def _drop_dead_insertions(
             # against the same fixpoint — the old re-solve-per-round
             # semantics); the update lands at the round boundary.
             liveness.edited(edited)
-
-
-def eliminate_dead_code(
-    cfg: CFG,
-    candidates: Iterable[str],
-    manager: Optional[AnalysisManager] = None,
-) -> int:
-    """Iteratively remove dead assignments to the *candidates* variables.
-
-    Returns the number of instructions removed.  Only assignments whose
-    target is in *candidates* are touched (all right-hand sides in this
-    IR are pure, so removal is always sound for dead targets).  Solves
-    liveness once (memoized through *manager* when given) and patches
-    the fixpoint incrementally between rounds.
-    """
-    candidate_set = set(candidates)
-    if manager is None:
-        engine = IncrementalLiveness(cfg)
-    else:
-        engine = manager.liveness(cfg)
-    engine.solve()
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        edited: List[str] = []
-        for block in cfg:
-            keep: List[Assign] = []
-            for i, instr in enumerate(block.instrs):
-                if instr.target in candidate_set and not engine.is_live_after(
-                    block.label, i, instr.target
-                ):
-                    removed += 1
-                    changed = True
-                else:
-                    keep.append(instr)
-            if len(keep) != len(block.instrs):
-                block.instrs[:] = keep
-                edited.append(block.label)
-        if edited:
-            # The hook reaches a manager-held engine; a private one
-            # gets the marks directly.
-            notify_cfg_edited(cfg, edited)
-            if manager is None:
-                engine.blocks_edited(edited)
-    return removed

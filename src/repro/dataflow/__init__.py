@@ -41,7 +41,7 @@ from repro.dataflow.problem import (
     Direction,
     GenKillTransfer,
 )
-from repro.dataflow.solver import STRATEGIES, Solution, solve, solve_worklist
+from repro.dataflow.solver import STRATEGIES, Solution, solve
 from repro.dataflow.bidirectional import EquationSystem, solve_system
 from repro.dataflow.stats import SolverStats
 
@@ -72,5 +72,4 @@ __all__ = [
     "solve",
     "solve_dense",
     "solve_system",
-    "solve_worklist",
 ]

@@ -1,24 +1,20 @@
 """Incremental + demand-driven liveness: cost scales with the edit.
 
-The dead-code loops of this library (DCE, ``eliminate_dead_code``,
-assignment sinking) edit a handful of instructions and then ask the
-same liveness question again.  (The LCM transform's cleanup asks only
-about its own temps and uses the cheaper per-temp
-:class:`repro.core.transform.TempLiveness` instead.)  Re-running the
-global fixpoint after each edit makes the *analysis* cost proportional
-to the program, even though the *edit* touched two instructions —
-``BENCH_BATCH.json`` showed 826 full liveness solves for a 60-item
-corpus, dominating the optimize wall time.  This module is the fix, and
-the first engine in the repository whose cost scales with the edit,
-not the program:
+The private liveness engine of assignment sinking
+(:mod:`repro.extensions.sinking`), which edits a handful of
+instructions per round and then asks liveness questions again.  (DCE
+answers its question with one strong-liveness solve instead, see
+:mod:`repro.passes.dce`, and the LCM transform's cleanup asks only
+about its own temps through :class:`repro.core.transform.TempLiveness`.)
+Re-running the global fixpoint after each edit would make the
+*analysis* cost proportional to the program, even though the *edit*
+touched two instructions; this engine's cost scales with the edit:
 
 * :class:`IncrementalLiveness` solves a CFG's liveness **once** (through
-  the dense backend, memoized by the
-  :class:`~repro.obs.manager.AnalysisManager` when one is attached) and
-  thereafter *updates* the cached fixpoint after local edits.
-  :meth:`~IncrementalLiveness.block_edited` records that a block's
-  instruction list changed (insert/delete/replace — exactly the edits
-  the transformation loops make); the next query recomputes that
+  the dense backend) and thereafter *updates* the cached fixpoint after
+  local edits.  :meth:`~IncrementalLiveness.block_edited` records that a
+  block's instruction list changed (insert/delete/replace — exactly the
+  edits the transformation loops make); the next query recomputes that
   block's local sets, resets the **affected region** — the blocks that
   can reach an edited block, the only ones whose facts may depend on it
   in a backward problem — and re-runs a priority worklist over that
@@ -40,11 +36,8 @@ not the program:
 
 * **Structural** changes (blocks or edges added/removed) are outside
   the edit-delta model: :meth:`structure_changed` drops everything and
-  the next use rebuilds from scratch.  Callers signal edits through the
-  module-level hooks in :mod:`repro.obs.manager`
-  (:func:`~repro.obs.manager.notify_cfg_edited` for instruction-level
-  edits, :func:`~repro.obs.manager.notify_cfg_mutated` for anything
-  else), which forward to every manager-held engine.
+  the next use rebuilds from scratch.  The engine's owner reports every
+  edit to it directly.
 
 Observability: ``dataflow.incr.fullsolve`` counts global solves,
 ``dataflow.incr.update`` counts applied edit deltas,
@@ -57,7 +50,6 @@ carries the same tallies plus region sizes.
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
@@ -125,26 +117,15 @@ class IncrementalLiveness:
         live_at_exit: names observable after the program ends (live at
             the exit block), exactly as for
             :func:`~repro.analysis.liveness.compute_liveness`.
-        manager: optional :class:`~repro.obs.manager.AnalysisManager`;
-            when given, the global solve is memoized through its tiers
-            (memory → disk → solve) and the dense plan is shared with
-            every other analysis of the same graph content.
 
     All query answers — and :meth:`result`, the materialised
     :class:`~repro.analysis.liveness.LivenessResult` — are bit-identical
     to a fresh ``compute_liveness`` on the current graph content.
     """
 
-    def __init__(self, cfg, live_at_exit: Iterable[str] = (), manager=None) -> None:
-        # A manager-held engine is mapped *from* its graph in a
-        # WeakKeyDictionary; referencing the graph strongly there would
-        # keep the entry alive forever, so it holds only a weakref (the
-        # manager's contract: engines die with their graph).  A
-        # standalone engine keeps its graph alive like any other object.
-        self._cfg = weakref.ref(cfg)
-        self._cfg_strong = cfg if manager is None else None
+    def __init__(self, cfg, live_at_exit: Iterable[str] = ()) -> None:
+        self.cfg = cfg
         self.exit_names: Tuple[str, ...] = tuple(sorted(set(live_at_exit)))
-        self.manager = manager
         self.stats = IncrementalStats()
         self._plan = None
         self._position: Dict[int, int] = {}  # member id -> worklist priority
@@ -161,30 +142,6 @@ class IncrementalLiveness:
         self._full = False
         self._dirty: Set[int] = set()
         self._materialized = None
-
-    @property
-    def cfg(self):
-        """The engine's graph (see ``__init__`` for the lifetime rules)."""
-        if self._cfg_strong is not None:
-            return self._cfg_strong
-        cfg = self._cfg()
-        if cfg is None:
-            raise ReferenceError("the engine's CFG has been garbage-collected")
-        return cfg
-
-    # -- cache keys -----------------------------------------------------
-
-    @property
-    def cache_key(self) -> str:
-        """The manager/store computation key for the global solve.
-
-        ``"liveness"`` for the default (empty) exit set — compatible
-        with entries written by earlier versions — and a digest-tagged
-        variant otherwise, so different observable sets never collide.
-        """
-        from repro.analysis.liveness import liveness_key
-
-        return liveness_key(self.exit_names)
 
     # -- edit notifications ---------------------------------------------
 
@@ -233,12 +190,9 @@ class IncrementalLiveness:
     def _ensure_built(self) -> None:
         if self._plan is not None:
             return
-        if self.manager is not None:
-            plan = self.manager.dense_plan(self.cfg)
-        else:
-            from repro.dataflow.dense import compile_plan
+        from repro.dataflow.dense import compile_plan
 
-            plan = compile_plan(self.cfg)
+        plan = compile_plan(self.cfg)
         self._plan = plan
         self._position = {i: pos for pos, i in enumerate(plan.backward_order)}
         n = len(plan.labels)
@@ -383,17 +337,10 @@ class IncrementalLiveness:
     def _full_solve(self) -> None:
         from repro.analysis.liveness import compute_liveness
 
-        cfg = self.cfg
         plan = self._plan
-        exit_names = self.exit_names
-        if self.manager is not None:
-            result = self.manager.cached(
-                cfg,
-                self.cache_key,
-                lambda: compute_liveness(cfg, live_at_exit=exit_names, plan=plan),
-            )
-        else:
-            result = compute_liveness(cfg, live_at_exit=exit_names, plan=plan)
+        result = compute_liveness(
+            self.cfg, live_at_exit=self.exit_names, plan=plan
+        )
         index = plan.index
         if result.variables == self._vars:
             for label, vec in result.livein.items():
@@ -402,9 +349,9 @@ class IncrementalLiveness:
                 self._out[index[label]] = vec.bits
             self._materialized = result
         else:
-            # A (rare) universe drift between build and solve — e.g. a
-            # memoized result from a content-equal graph seen before
-            # edits were applied here.  Remap columns by name.
+            # A universe drift between build and solve: edits applied
+            # before the first solve appended columns out of sorted
+            # order.  Remap columns by name.
             remap = [(self._vidx[name], ri) for ri, name in enumerate(result.variables)]
             for label, vec in result.livein.items():
                 bits = vec.bits
@@ -426,9 +373,8 @@ class IncrementalLiveness:
         """Ensure the full fixpoint is cached (idempotent).
 
         Applies any pending edit delta first; with no facts at all it
-        runs the global solve (memoized through the manager when one is
-        attached); a partial (demand-solved) engine is promoted by
-        solving just the remaining blocks.
+        runs the global solve; a partial (demand-solved) engine is
+        promoted by solving just the remaining blocks.
         """
         self._ensure_built()
         if self._dirty:

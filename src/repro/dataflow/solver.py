@@ -26,15 +26,11 @@ backend — the per-run bit-vector operation tally, which is also stored
 in ``Solution.stats.bitvec_ops``.  When tracing is off, :func:`solve`
 enters no span context at all, so the dense inner loop is not wrapped
 in dead tracing machinery.
-
-``solve_worklist`` survives as a deprecated alias for
-``solve(cfg, problem, strategy="worklist")``.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -243,14 +239,3 @@ def _solve_worklist(cfg: CFG, problem: DataflowProblem) -> Solution:
                 for pred in cfg.preds(label):
                     push(pred)
     return Solution(problem.name, inof, outof, stats)
-
-
-def solve_worklist(cfg: CFG, problem: DataflowProblem) -> Solution:
-    """Deprecated alias for ``solve(cfg, problem, strategy="worklist")``."""
-    warnings.warn(
-        "solve_worklist() is deprecated; use "
-        'solve(cfg, problem, strategy="worklist")',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return solve(cfg, problem, strategy="worklist")

@@ -38,7 +38,6 @@ from repro.core.transform import TransformResult
 from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFG
 from repro.ir.instr import Assign
-from repro.obs.manager import notify_cfg_edited, notify_cfg_mutated
 
 
 @dataclass
@@ -76,7 +75,7 @@ def _sinkable(cfg: CFG, label: str) -> Optional[Assign]:
 
 
 def _one_round(
-    cfg: CFG, engine: IncrementalLiveness, report: SinkReport, standalone: bool
+    cfg: CFG, engine: IncrementalLiveness, report: SinkReport
 ) -> bool:
     for label in list(cfg.labels):
         if label in (cfg.entry, cfg.exit):
@@ -101,9 +100,7 @@ def _one_round(
         block.instrs.pop()
         if not live_targets:
             report.removed.append((label, str(instr)))
-            notify_cfg_edited(cfg, [label])
-            if standalone:
-                engine.blocks_edited([label])
+            engine.block_edited(label)
             return True
         landing_labels = []
         edited = [label]
@@ -121,13 +118,9 @@ def _one_round(
         if split:
             # Edge splitting adds blocks and rewires edges — outside
             # the edit-delta model, so the engine rebuilds.
-            notify_cfg_mutated(cfg)
-            if standalone:
-                engine.structure_changed()
+            engine.structure_changed()
         else:
-            notify_cfg_edited(cfg, edited)
-            if standalone:
-                engine.blocks_edited(edited)
+            engine.blocks_edited(edited)
         report.sunk.append((label, str(instr), tuple(landing_labels)))
         return True
     return False
@@ -137,7 +130,6 @@ def sink_assignments(
     cfg: CFG,
     observable: Optional[Set[str]] = None,
     max_rounds: int = 200,
-    manager=None,
 ) -> Tuple[TransformResult, SinkReport]:
     """Partially-dead-code-eliminate *cfg* (input never mutated).
 
@@ -147,25 +139,20 @@ def sink_assignments(
             of the program's variables — the interpreter's semantics).
         max_rounds: fixed-point bound; each round performs one sinking
             step, so this caps the total number of moves.
-        manager: optional :class:`~repro.obs.manager.AnalysisManager`
-            supplying the incremental liveness engine (dense-plan and
-            memo sharing); without one a private engine is used.
 
     Liveness is never solved globally up front: each round's branch
-    queries are answered demand-driven from the engine, which patches
-    its facts incrementally after every sinking step (or rebuilds after
-    an edge split).
+    queries are answered demand-driven from a private
+    :class:`~repro.dataflow.incremental.IncrementalLiveness` engine,
+    which patches its facts incrementally after every sinking step (or
+    rebuilds after an edge split).  The edits land on a private copy
+    that no analysis manager has seen, so no mutation hook is needed.
     """
     work = cfg.copy()
     obs = set(observable) if observable is not None else work.variables()
     report = SinkReport()
-    exit_names = sorted(obs)
-    if manager is None:
-        engine = IncrementalLiveness(work, live_at_exit=exit_names)
-    else:
-        engine = manager.liveness(work, live_at_exit=exit_names)
+    engine = IncrementalLiveness(work, live_at_exit=sorted(obs))
     for _ in range(max_rounds):
-        if not _one_round(work, engine, report, standalone=manager is None):
+        if not _one_round(work, engine, report):
             break
     result = TransformResult(
         original=cfg, cfg=work, placements=[], temps=set()

@@ -33,12 +33,7 @@ from repro.obs.trace import (
     tracing,
 )
 from repro.obs.fingerprint import cfg_fingerprint
-from repro.obs.manager import (
-    AnalysisManager,
-    CacheStats,
-    notify_cfg_edited,
-    notify_cfg_mutated,
-)
+from repro.obs.manager import AnalysisManager, CacheStats, notify_cfg_mutated
 from repro.obs.store import JSONRecord, SolutionStore, default_code_version
 
 __all__ = [
@@ -58,7 +53,6 @@ __all__ = [
     "is_active",
     "merge_counters",
     "merge_summaries",
-    "notify_cfg_edited",
     "notify_cfg_mutated",
     "snapshot",
     "span",

@@ -17,14 +17,12 @@ distinct CFG objects with equal content — and across programs that only
 differ in formatting, which lower to equal graphs.  The only subtlety is
 in-place mutation: fingerprints are themselves memoized per CFG
 *object* (one whole-graph hash per graph state), so code that mutates a
-graph in place must call :func:`notify_cfg_edited` (instruction-level
-edits, naming the touched blocks) or :func:`notify_cfg_mutated`
-(structural changes) — the pass pipeline (:mod:`repro.passes.pipeline`),
-DCE and sinking do.  Either hook drops the memoized fingerprint, so the
-next lookup hashes the graph afresh.  Cached solutions are never dropped by
-invalidation: they stay valid for any graph that hashes to their
-fingerprint; invalidation only forces the fingerprint itself to be
-recomputed.
+graph in place must call :func:`notify_cfg_mutated` — the pass pipeline
+(:mod:`repro.passes.pipeline`) and DCE do.  The hook drops the memoized
+fingerprint, so the next lookup hashes the graph afresh.  Cached
+solutions are never dropped by invalidation: they stay valid for any
+graph that hashes to their fingerprint; invalidation only forces the
+fingerprint itself to be recomputed.
 
 A manager can additionally be given a
 :class:`~repro.obs.store.SolutionStore`, which turns the cache into two
@@ -62,35 +60,14 @@ _LIVE_MANAGERS: "weakref.WeakSet" = weakref.WeakSet()
 def notify_cfg_mutated(cfg: CFG) -> None:
     """Invalidate cached facts about *cfg* in every live manager.
 
-    The hook mutating code must call after changing a graph's
-    *structure* in place (blocks added/removed, edges retargeted).
-    Cheap when no managers exist or none has seen the graph.  The
-    memoized fingerprint is dropped, and any incremental liveness
-    engines held for *cfg* drop all their facts.  Code making
-    instruction-level edits to existing blocks should call
-    :func:`notify_cfg_edited` instead so liveness engines can patch
-    rather than rebuild.
+    The one hook mutating code must call after changing a graph in
+    place, whether it edited instructions or changed the structure
+    (blocks added/removed, edges retargeted).  Every live manager drops
+    its memoized fingerprint of *cfg*; cheap when no managers exist or
+    none has seen the graph.
     """
     for manager in list(_LIVE_MANAGERS):
         manager.invalidate(cfg)
-
-
-def notify_cfg_edited(cfg: CFG, labels) -> None:
-    """Signal instruction-level edits to existing blocks of *cfg*.
-
-    The edit-granular sibling of :func:`notify_cfg_mutated`: *labels*
-    names the blocks whose content changed in place without altering
-    the graph's structure — instruction inserts/deletes/replacements,
-    or a branch-condition rewrite that preserves the successor targets.
-    (Anything that adds/removes blocks or changes edges needs the
-    coarse hook.)  Every live manager drops its memoized fingerprint of
-    *cfg*, and its incremental liveness engines
-    (:class:`repro.dataflow.incremental.IncrementalLiveness`) keep
-    their fixpoints and patch the affected region instead of
-    re-solving globally.
-    """
-    for manager in list(_LIVE_MANAGERS):
-        manager.notify_edited(cfg, labels)
 
 
 @dataclass
@@ -157,7 +134,6 @@ class AnalysisManager:
         self._store: Dict[Tuple[str, str], Any] = {}
         self._plans: Dict[str, Any] = {}
         self._fingerprints: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._engines: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         _LIVE_MANAGERS.add(self)
 
     # -- keys -----------------------------------------------------------
@@ -166,8 +142,8 @@ class AnalysisManager:
         """The content fingerprint of *cfg*, memoized per object.
 
         The memo holds one :func:`~repro.obs.fingerprint.cfg_fingerprint`
-        per graph state: :meth:`notify_edited` and :meth:`invalidate`
-        drop it, and the next lookup hashes the whole graph again.
+        per graph state: :meth:`invalidate` drops it, and the next
+        lookup hashes the whole graph again.
         """
         value = self._fingerprints.get(cfg)
         if value is None:
@@ -303,71 +279,20 @@ class AnalysisManager:
 
         return self.cached(cfg, key, compute)
 
-    # -- incremental engines --------------------------------------------
-
-    def liveness(self, cfg: CFG, live_at_exit=()):
-        """The incremental liveness engine for (*cfg*, *live_at_exit*).
-
-        One :class:`repro.dataflow.incremental.IncrementalLiveness` per
-        (CFG object, observable set) — held weakly, so engines die with
-        their graph.  The engine's global solves route back through
-        :meth:`cached` (same fingerprint + key tiers as a direct
-        :func:`~repro.analysis.liveness.liveness_of`), and it is kept
-        current by the notification hooks: :meth:`notify_edited` marks
-        blocks dirty for an O(affected-region) patch,
-        :meth:`invalidate` (the coarse path) drops its facts entirely.
-        """
-        from repro.dataflow.incremental import IncrementalLiveness
-
-        exit_names = tuple(sorted(set(live_at_exit)))
-        engines = self._engines.get(cfg)
-        if engines is None:
-            engines = {}
-            self._engines[cfg] = engines
-        engine = engines.get(exit_names)
-        if engine is None:
-            engine = IncrementalLiveness(cfg, live_at_exit=exit_names, manager=self)
-            engines[exit_names] = engine
-        return engine
-
     # -- invalidation ---------------------------------------------------
 
-    def _drop_fingerprint(self, cfg: CFG) -> None:
+    def invalidate(self, cfg: CFG) -> None:
+        """Note an in-place mutation of *cfg*: drop its memoized
+        fingerprint, so the next lookup hashes the graph afresh."""
         if self._fingerprints.pop(cfg, None) is not None:
             self.stats.invalidations += 1
             trace.count("cache.invalidate")
 
-    def invalidate(self, cfg: CFG) -> None:
-        """Note a structural mutation of *cfg* (the coarse path).
-
-        The memoized fingerprint is dropped, and any incremental engines
-        held for *cfg* drop their facts, since the graph's structure may
-        have changed.
-        """
-        self._drop_fingerprint(cfg)
-        engines = self._engines.get(cfg)
-        if engines:
-            for engine in engines.values():
-                engine.structure_changed()
-
-    def notify_edited(self, cfg: CFG, labels) -> None:
-        """Record instruction-level edits to *cfg*'s *labels* blocks.
-
-        The memoized fingerprint is dropped, and incremental engines
-        keep their fixpoints, marking just those blocks for patching.
-        """
-        self._drop_fingerprint(cfg)
-        engines = self._engines.get(cfg)
-        if engines:
-            for engine in engines.values():
-                engine.blocks_edited(labels)
-
     def clear(self) -> None:
-        """Drop every memoized result, plan, fingerprint and engine."""
+        """Drop every memoized result, plan and fingerprint."""
         self._store.clear()
         self._plans.clear()
         self._fingerprints = weakref.WeakKeyDictionary()
-        self._engines = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
         return len(self._store)

@@ -17,7 +17,7 @@ single-purpose.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.dataflow.order import reverse_postorder
 from repro.interp.machine import eval_expr
@@ -137,7 +137,7 @@ def _solve_entry_envs(cfg: CFG) -> Dict[str, Dict[str, object]]:
     return entry_env
 
 
-def fold_constants(cfg: CFG, edited: Optional[List[str]] = None) -> int:
+def fold_constants(cfg: CFG) -> int:
     """Fold/propagate constants through *cfg* in place; returns rewrites.
 
     Every variable may carry an arbitrary *input* value when the
@@ -145,12 +145,6 @@ def fold_constants(cfg: CFG, edited: Optional[List[str]] = None) -> int:
     environment maps all variables to ⊤; a variable is only treated as
     constant at a point when every path to that point assigns it that
     constant.
-
-    Args:
-        cfg: the program (mutated).
-        edited: when given, the labels of blocks this call actually
-            changed are appended — what the caller announces through
-            :func:`repro.obs.manager.notify_cfg_edited`.
     """
     entry_env = _solve_entry_envs(cfg)
 
@@ -179,8 +173,5 @@ def fold_constants(cfg: CFG, edited: Optional[List[str]] = None) -> int:
                 )
                 block_rewrites += 1
                 cfg.notify_terminator_changed()
-        if block_rewrites:
-            rewrites += block_rewrites
-            if edited is not None:
-                edited.append(block.label)
+        rewrites += block_rewrites
     return rewrites

@@ -16,7 +16,7 @@ chains collapse fully in practice.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dataflow.bitvec import BitVector
 from repro.dataflow.problem import DataflowProblem
@@ -58,16 +58,11 @@ def _substitute(expr: Expr, mapping: Dict[str, str]) -> Expr:
     return expr
 
 
-def copy_propagate(
-    cfg: CFG, edited: Optional[List[str]] = None, manager=None
-) -> int:
+def copy_propagate(cfg: CFG, manager=None) -> int:
     """Propagate copies through *cfg* in place; returns rewrites made.
 
     Args:
         cfg: the program (mutated).
-        edited: when given, labels of blocks actually changed are
-            appended — what the caller announces through
-            :func:`repro.obs.manager.notify_cfg_edited`.
         manager: optional :class:`~repro.obs.manager.AnalysisManager`;
             the solve routes through its memo tiers and dense plan.
     """
@@ -145,8 +140,5 @@ def copy_propagate(
                 )
                 block_rewrites += 1
                 cfg.notify_terminator_changed()
-        if block_rewrites:
-            rewrites += block_rewrites
-            if edited is not None:
-                edited.append(block.label)
+        rewrites += block_rewrites
     return rewrites

@@ -9,27 +9,23 @@ dead stores, DCE exposes pass-through blocks, ...).
 
 Every pass runs under a :func:`repro.obs.trace.span` (``pipeline.run``
 with one ``pass.<name>`` child per rewrite pass and one
-``pipeline.round`` span per cleanup iteration), and every in-place
-mutation is announced — block-granular edits through
-:func:`repro.obs.manager.notify_cfg_edited` (so DCE's liveness engine
-patches instead of re-solving), structural changes through
-:func:`repro.obs.manager.notify_cfg_mutated`.
+``pipeline.round`` span per cleanup iteration).  Every rewrite pass has
+the same shape, ``fn(cfg) -> rewrite count``, and a pass that rewrote
+anything is announced through the one mutation hook,
+:func:`repro.obs.manager.notify_cfg_mutated`, which drops the
+managers' memoized fingerprint of the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.localcse import local_cse
 from repro.core.pipeline import OptimizeConfig, optimize
 from repro.ir.cfg import CFG
 from repro.ir.validate import validate_cfg
-from repro.obs.manager import (
-    AnalysisManager,
-    notify_cfg_edited,
-    notify_cfg_mutated,
-)
+from repro.obs.manager import AnalysisManager, notify_cfg_mutated
 from repro.obs.trace import span
 from repro.passes.canonical import canonicalize
 from repro.passes.constfold import fold_constants
@@ -63,16 +59,14 @@ class PassResult:
 def _run_pass(result: PassResult, name: str, fn, cfg: CFG) -> int:
     """Run one in-place rewrite pass under a span and tally it.
 
-    ``fn(cfg, edited)`` returns its rewrite count and appends the labels
-    of the blocks it changed to *edited*, which are then announced
-    through :func:`~repro.obs.manager.notify_cfg_edited`.
+    ``fn(cfg)`` returns its rewrite count; a non-zero count is announced
+    through :func:`~repro.obs.manager.notify_cfg_mutated`.
     """
-    edited: List[str] = []
     with span(f"pass.{name}") as sp:
-        count = fn(cfg, edited)
+        count = fn(cfg)
         sp.set(rewrites=count)
-    if edited:
-        notify_cfg_edited(cfg, edited)
+    if count:
+        notify_cfg_mutated(cfg)
     result.bump(name, count)
     return count
 
@@ -90,26 +84,14 @@ def _cleanup_to_fixpoint(
             total = _run_pass(
                 result,
                 "copyprop",
-                lambda c, edited: copy_propagate(
-                    c, edited=edited, manager=manager
-                ),
+                lambda c: copy_propagate(c, manager=manager),
                 cfg,
             )
             total += _run_pass(result, "constfold", fold_constants, cfg)
-            # DCE announces its own edits, round by round.
+            total += _run_pass(result, "dce", dead_code_elimination, cfg)
             total += _run_pass(
-                result,
-                "dce",
-                lambda c, _: dead_code_elimination(c, manager=manager),
-                cfg,
+                result, "simplify", lambda c: simplify_cfg(c).total, cfg
             )
-            with span("pass.simplify") as sp:
-                stats = simplify_cfg(cfg)
-                sp.set(rewrites=stats.total)
-            if stats.total:
-                notify_cfg_mutated(cfg)
-            result.bump("simplify", stats.total)
-            total += stats.total
             round_sp.set(rewrites=total)
         if total == 0:
             return
@@ -138,9 +120,7 @@ def run_pipeline(
     with span("pipeline.run", pre=pre_strategy or "none") as sp:
         work = cfg.copy()
         result = PassResult(cfg=work)
-        # No manager holds state for the fresh copy yet, so the
-        # canonicaliser need not report its edits.
-        _run_pass(result, "canonicalize", lambda c, _: canonicalize(c), work)
+        _run_pass(result, "canonicalize", canonicalize, work)
         _run_pass(result, "constfold", fold_constants, work)
         with span("pass.lcse") as lcse_sp:
             work, lcse_replaced = local_cse(work)

@@ -6,7 +6,11 @@ also used by the CI kill-resilience smoke) and from
 ``tests.test_batch`` (resolved by name inside forked workers).
 """
 
+import json
 import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
 import time
@@ -27,6 +31,7 @@ from repro.batch import (
 from repro.obs.trace import Tracer, tracing
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _call_item(name, ref, cost=0.0):
@@ -299,6 +304,46 @@ class TestHardDeadline:
         assert tracer.counters["batch.item.killed"] == 1
         assert tracer.counters["batch.worker.respawn"] >= 1
         assert _no_worker_children()
+
+    def test_one_item_batch_at_two_jobs_is_killed(self):
+        # One item at jobs=2 must still run on the pool: inline, a
+        # C-level hang ignores the soft SIGALRM and never returns.  The
+        # batch runs in a child session under a hard limit, so a
+        # regression fails here instead of hanging the suite.
+        script = (
+            "import json, time\n"
+            "from repro.batch import BatchConfig, WorkItem, run_batch\n"
+            "items = [WorkItem('spin-c', 'call',"
+            " 'repro.batch.testing:busy_loop_c')]\n"
+            "start = time.monotonic()\n"
+            "report = run_batch(items,"
+            " BatchConfig(jobs=2, timeout=1.0, grace=1.0))\n"
+            "print(json.dumps({'elapsed': time.monotonic() - start,"
+            " 'statuses': [item.status for item in report.items]}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a one-item batch at jobs=2 was not killed")
+        assert child.returncode == 0, err[-2000:]
+        result = json.loads(out.splitlines()[-1])
+        assert result["statuses"] == ["timeout"]
+        # timeout + grace, plus a few seconds for pool start-up.
+        assert result["elapsed"] < 1.0 + 1.0 + 5.0, result
 
     def test_py_hang_still_uses_soft_timeout_and_worker_survives(self):
         # A bytecode-level spin is SIGALRM-interruptible: no kill, no

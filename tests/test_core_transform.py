@@ -5,11 +5,12 @@ import pytest
 from tests.helpers import AB, diamond, straight_line
 
 from repro.core.placement import Placement, PlacementError
-from repro.core.transform import apply_placements, eliminate_dead_code
+from repro.core.transform import apply_placements
 from repro.core.optimality import check_equivalence
 from repro.ir.builder import CFGBuilder
 from repro.ir.expr import BinExpr, Var
 from repro.ir.validate import validate_cfg
+from repro.passes.dce import dead_code_elimination
 
 
 def diamond_plan():
@@ -162,7 +163,7 @@ class TestDeadInsertionCleanup:
         b = CFGBuilder()
         b.block("s", "t = a + b", "x = c * 2").to_exit()
         cfg = b.build()
-        removed = eliminate_dead_code(cfg, ["t"])
+        removed = dead_code_elimination(cfg, observable=["x"])
         assert removed == 1
         assert [str(i) for i in cfg.block("s").instrs] == ["x = c * 2"]
 
@@ -170,11 +171,11 @@ class TestDeadInsertionCleanup:
         b = CFGBuilder()
         b.block("s", "t = a + b", "x = t + 1").to_exit()
         cfg = b.build()
-        assert eliminate_dead_code(cfg, ["t"]) == 0
+        assert dead_code_elimination(cfg, observable=["x"]) == 0
 
     def test_eliminate_dead_code_cascades(self):
         b = CFGBuilder()
         b.block("s", "t1 = a + b", "t2 = t1 + 1").to_exit()
         cfg = b.build()
         # t2 is dead; removing it makes t1 dead too.
-        assert eliminate_dead_code(cfg, ["t1", "t2"]) == 2
+        assert dead_code_elimination(cfg, observable=[]) == 2

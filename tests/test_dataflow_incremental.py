@@ -5,11 +5,11 @@ The correctness spine of the incremental engine
 insert/delete edit scripts, the patched fixpoint — and every
 demand-driven point query — must coincide **bit for bit** with a fresh
 :func:`~repro.analysis.liveness.compute_liveness` of the current graph
-content.  Targeted tests pin the counter contracts (a DCE fixpoint run
-performs exactly one full solve; pure point-query workloads perform
-none), the manager wiring (``notify_cfg_edited`` patches,
-``notify_cfg_mutated`` rebuilds) and the edge cases (unknown labels,
-unknown variables, observable names the program never mentions).
+content.  Targeted tests pin the counter contracts (an edit performs
+one update, not a second full solve; pure point-query workloads perform
+none; DCE and the pass pipeline, which solve strong liveness once,
+touch no engine at all) and the edge cases (unknown labels, unknown
+variables, observable names the program never mentions).
 """
 
 import random
@@ -28,12 +28,8 @@ from repro.dataflow.incremental import IncrementalLiveness
 from repro.ir.cfg import CFGError
 from repro.ir.expr import BinExpr, Const, Var
 from repro.ir.instr import Assign
-from repro.obs.manager import (
-    AnalysisManager,
-    notify_cfg_edited,
-    notify_cfg_mutated,
-)
-from repro.obs.trace import Tracer, activate, deactivate
+from repro.obs.manager import AnalysisManager
+from repro.obs.trace import Tracer, activate, deactivate, tracing
 
 SMALL = GeneratorConfig(statements=10, max_depth=2)
 SHAPES = ShapeConfig(blocks=8, back_edge_probability=0.5)
@@ -206,22 +202,31 @@ class TestCounters:
         return dict(tracer.counters)
 
     def test_dce_performs_exactly_one_full_solve(self):
-        # The pinned regression: DCE used to re-solve the world once per
-        # fixpoint round; with the engine it solves once and patches.
+        # DCE is one strong-liveness solve plus one sweep: no rounds and
+        # no engine, so the pipeline that runs it every cleanup round
+        # records no engine counter either.
         from repro.passes.dce import dead_code_elimination
+        from repro.passes.pipeline import run_pipeline
 
         cfg = random_cfg(5, GeneratorConfig(statements=14))
-        counters = self._counters(lambda: dead_code_elimination(cfg))
-        assert counters.get("dataflow.incr.fullsolve", 0) == 1
-        assert counters.get("dataflow.solve[liveness]", counters.get("cache.miss", 1))
-
-    def test_eliminate_dead_code_performs_exactly_one_full_solve(self):
-        from repro.core.transform import eliminate_dead_code
-        from tests.helpers import straight_line
-
-        cfg = straight_line(["t1 = a + b", "t2 = t1 + 1", "x = c + d"])
-        counters = self._counters(lambda: eliminate_dead_code(cfg, ["t1", "t2"]))
-        assert counters.get("dataflow.incr.fullsolve", 0) == 1
+        with tracing() as tracer:
+            dead_code_elimination(cfg)
+        solves = [
+            event.attrs["problem"]
+            for event in tracer.events
+            if event.name == "dataflow.solve"
+        ]
+        assert solves == ["strong-liveness"]
+        with tracing() as tracer:
+            run_pipeline(
+                random_cfg(5, GeneratorConfig(statements=14)),
+                manager=AnalysisManager(),
+            )
+        assert not [
+            name
+            for name in tracer.counters
+            if name.startswith("dataflow.incr.")
+        ]
 
     def test_update_counter_fires_on_edits(self):
         cfg = diamond()
@@ -239,48 +244,6 @@ class TestCounters:
 
 
 class TestManagerWiring:
-    def test_manager_engine_follows_edit_hook(self):
-        manager = AnalysisManager()
-        cfg = random_cfg(9, SMALL)
-        engine = manager.liveness(cfg)
-        assert manager.liveness(cfg) is engine  # one engine per (cfg, exit set)
-        engine.solve()
-        label = _random_edit(cfg, random.Random(1), 0)
-        notify_cfg_edited(cfg, [label])
-        _assert_matches_reference(engine, cfg, (), "after hook")
-        assert engine.stats.full_solves == 1
-
-    def test_full_solve_is_memoized_by_content(self):
-        manager = AnalysisManager()
-        cfg = random_cfg(9, SMALL)
-        twin = cfg.copy()
-        manager.liveness(cfg).solve()
-        before = manager.stats.misses
-        manager.liveness(twin).solve()  # same content, distinct object
-        assert manager.stats.misses == before
-        assert manager.stats.hits >= 1
-
-    def test_mutation_hook_resets_the_engine(self):
-        manager = AnalysisManager()
-        cfg = random_cfg(4, SMALL)
-        engine = manager.liveness(cfg)
-        engine.solve()
-        # A structural mutation (block added) must escalate to rebuild.
-        some = next(iter(cfg.labels))
-        cfg.split_edge(some, cfg.succs(some)[0], "wedge")
-        notify_cfg_mutated(cfg)
-        _assert_matches_reference(engine, cfg, (), "after rebuild")
-        assert engine.stats.full_solves == 2
-
-    def test_distinct_exit_sets_get_distinct_engines(self):
-        manager = AnalysisManager()
-        cfg = diamond()
-        default = manager.liveness(cfg)
-        observed = manager.liveness(cfg, live_at_exit=["y"])
-        assert default is not observed
-        assert observed.is_live_out("join", "y")
-        assert not default.is_live_out("join", "y")
-
     def test_liveness_of_routes_through_the_memo_tier(self):
         manager = AnalysisManager()
         cfg = diamond()

@@ -16,7 +16,7 @@ from repro.dataflow.problem import (
     Direction,
     GenKillTransfer,
 )
-from repro.dataflow.solver import solve, solve_worklist
+from repro.dataflow.solver import solve
 from repro.ir.expr import BinExpr, Var
 
 
@@ -122,13 +122,6 @@ class TestWorklist:
         _, problem = availability_problem(cfg)
         with pytest.raises(ValueError, match="worklist"):
             solve(cfg, problem, strategy="chaotic")
-
-    def test_deprecated_alias_still_works(self):
-        cfg = diamond()
-        _, problem = availability_problem(cfg)
-        with pytest.warns(DeprecationWarning, match="solve_worklist"):
-            b = solve_worklist(cfg, problem)
-        assert b.inof == solve(cfg, problem).inof
 
 
 class TestProblemConstruction:

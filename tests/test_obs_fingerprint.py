@@ -6,9 +6,9 @@ Three contracts from docs/OBSERVABILITY.md and docs/PERFORMANCE.md:
   sensitive to everything that is content: block order, edges (via
   terminators), edge weights;
 * an :class:`AnalysisManager` memoizes one digest per graph state and
-  drops it on every edit announced through :func:`notify_cfg_edited`
-  or :func:`notify_cfg_mutated`, so its fingerprint never goes stale,
-  and the optimize path hashes exactly three graph states per item;
+  drops it on every edit announced through :func:`notify_cfg_mutated`,
+  so its fingerprint never goes stale, and the optimize path hashes
+  exactly three graph states per item;
 * the pass pipeline and the optimize path produce the IR and rewrite
   tallies pinned by golden digests over seeded random programs.
 """
@@ -29,11 +29,7 @@ from repro.ir.expr import BinExpr, Var
 from repro.ir.instr import Assign, Jump
 from repro.ir.serialize import cfg_to_json
 from repro.obs.fingerprint import cfg_fingerprint
-from repro.obs.manager import (
-    AnalysisManager,
-    notify_cfg_edited,
-    notify_cfg_mutated,
-)
+from repro.obs.manager import AnalysisManager, notify_cfg_mutated
 from repro.obs.trace import span, tracing
 from repro.passes.pipeline import run_pipeline
 
@@ -97,7 +93,7 @@ class TestFingerprintState:
         cfg = diamond()
         assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
         cfg.block("join").append(Assign("q", BinExpr("+", Var("a"), Var("b"))))
-        notify_cfg_edited(cfg, ["join"])
+        notify_cfg_mutated(cfg)
         assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
 
     def test_refresh_handles_added_and_removed_blocks(self):
@@ -140,12 +136,12 @@ class TestFingerprintState:
                 notify_cfg_mutated(cfg)
             elif block.instrs and pick % 4 == 0:
                 del block.instrs[0]
-                notify_cfg_edited(cfg, [label])
+                notify_cfg_mutated(cfg)
             else:
                 block.append(
                     Assign(f"ed{step}", BinExpr("+", Var("a"), Var("b")))
                 )
-                notify_cfg_edited(cfg, [label])
+                notify_cfg_mutated(cfg)
             assert manager.fingerprint(cfg) == cfg_fingerprint(cfg)
 
 
@@ -159,7 +155,7 @@ class TestManagerCounters:
             cfg.block("join").append(
                 Assign("q", BinExpr("+", Var("a"), Var("b")))
             )
-            notify_cfg_edited(cfg, ["join"])
+            notify_cfg_mutated(cfg)
             second = manager.fingerprint(cfg)
             assert manager.fingerprint(cfg) == second
         assert second != first

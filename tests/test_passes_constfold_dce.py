@@ -1,8 +1,18 @@
 """Unit tests for constant folding/propagation and whole-program DCE."""
 
+import random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from tests.helpers import straight_line
 
-from repro.core.optimality import check_equivalence
+from repro.analysis.liveness import compute_liveness
+from repro.bench.generators import GeneratorConfig, random_cfg
+from repro.bench.shapegen import ShapeConfig, random_shape_cfg
+from repro.core.optimality import check_equivalence, enumerate_traces
+from repro.core.transform import _is_live_after
+from repro.interp.machine import run
 from repro.ir.builder import CFGBuilder
 from repro.ir.expr import Const, Var
 from repro.ir.instr import CondBranch
@@ -171,3 +181,109 @@ class TestDeadCodeElimination:
         removed = dead_code_elimination(cfg, observable=["y", "phantom"])
         assert removed == 1  # x is dead; phantom changes nothing else
         assert [str(i) for i in cfg.block("s0").instrs] == ["y = c * 2"]
+
+    def test_faint_loop_update_removed_when_everything_is_observable(self):
+        # a = d - a feeds only itself around the loop, and the exit path
+        # overwrites a: no value it computes is ever observed.  Classic
+        # liveness counts its own read, so iterated DCE keeps it.
+        b = CFGBuilder()
+        b.block("init", "i = 0").jump("head")
+        b.block("head", "c = i < n").branch("c", "body", "out")
+        b.block("body", "a = d - a", "i = i + 1").jump("head")
+        b.block("out", "a = 1").to_exit()
+        cfg = b.build()
+        snapshot = cfg.copy()
+        assert dead_code_elimination(cfg) == 1
+        assert [str(i) for i in cfg.block("body").instrs] == ["i = i + 1"]
+        assert check_equivalence(snapshot, cfg, runs=10).equivalent
+
+    def test_faint_copy_cycle_removed_with_nothing_observable(self):
+        b = CFGBuilder()
+        b.block("init", "i = 0").jump("head")
+        b.block("head", "t = u", "u = t", "i = i + 1", "c = i < n").branch(
+            "c", "head", "out"
+        )
+        b.block("out").to_exit()
+        cfg = b.build()
+        assert dead_code_elimination(cfg, observable=[]) == 2
+        assert [str(i) for i in cfg.block("head").instrs] == [
+            "i = i + 1",
+            "c = i < n",
+        ]
+
+
+def _iterated_dce(cfg, observable):
+    """The classic algorithm: solve liveness, drop dead assignments,
+    repeat until a round removes nothing."""
+    exit_names = sorted(observable)
+    while True:
+        liveness = compute_liveness(cfg, live_at_exit=exit_names)
+        kept = {
+            block.label: [
+                instr
+                for i, instr in enumerate(block.instrs)
+                if _is_live_after(cfg, liveness, block.label, i, instr.target)
+            ]
+            for block in cfg
+        }
+        if all(len(kept[block.label]) == len(block.instrs) for block in cfg):
+            return
+        for block in cfg:
+            block.instrs[:] = kept[block.label]
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(any(item == other for other in rest) for item in short)
+
+
+def _final_envs_agree(original, transformed, names, max_branches=6):
+    """Same decision sequence -> same final values of *names*."""
+    for trace in enumerate_traces(original, max_branches):
+        before = run(original, decisions=trace.decisions)
+        after = run(transformed, decisions=trace.decisions)
+        if not after.reached_exit:
+            return False
+        for name in names:
+            if before.env.get(name, 0) != after.env.get(name, 0):
+                return False
+    return True
+
+
+class TestStrongLivenessDCE:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        shaped=st.booleans(),
+        mode=st.sampled_from(["all", "subset", "none"]),
+        pick=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_keeps_a_subsequence_of_iterated_dce(
+        self, seed, shaped, mode, pick
+    ):
+        if shaped:
+            cfg = random_shape_cfg(seed, ShapeConfig(blocks=8))
+        else:
+            cfg = random_cfg(seed, GeneratorConfig(statements=10))
+        names = sorted(cfg.variables())
+        if mode == "all":
+            observable = names
+        elif mode == "none":
+            observable = []
+        else:
+            rng = random.Random(pick)
+            observable = [name for name in names if rng.random() < 0.5]
+        strong = cfg.copy()
+        dead_code_elimination(strong, observable=observable)
+        iterated = cfg.copy()
+        _iterated_dce(iterated, observable)
+        for label in cfg.labels:
+            assert _is_subsequence(
+                strong.block(label).instrs, iterated.block(label).instrs
+            ), label
+        assert _final_envs_agree(cfg, strong, observable)
+        assert _final_envs_agree(cfg, iterated, observable)
